@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+SRC = BENCH.parent / "src"
+for path in (str(SRC), str(BENCH)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
