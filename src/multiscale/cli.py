@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,7 +26,7 @@ _ARG_ERRORS = (
 )
 _INPUT_ERRORS = (
     errors.Malformed, errors.NonUniformSampling, errors.TooShort,
-    errors.LengthMismatch, errors.ScaleMismatch, FileNotFoundError,
+    errors.LengthMismatch, errors.ScaleMismatch, OSError,
 )
 _NUMERIC_ERRORS = (
     errors.DegenerateWindow, errors.NonPositiveVariance, errors.ZeroPower,
@@ -45,14 +44,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(2, message)
-
-
-def thread_cap() -> int:
-    """Internal-parallelism cap from MULTISCALE_THREADS (0 = auto)."""
-    try:
-        return max(0, int(os.environ.get("MULTISCALE_THREADS", "0")))
-    except ValueError:
-        return 0
 
 
 # config / flag merging ------------------------------------------------------
@@ -110,18 +101,24 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+def _dyadic(lo: int, hi: int) -> list[int]:
+    """lo, 2*lo, 4*lo, ... up to hi; empty when lo > hi. Needs lo > 0."""
+    out = []
+    while lo <= hi:
+        out.append(lo)
+        lo *= 2
+    return out
+
+
 def _parse_int_list(raw: str) -> list[int]:
-    """Comma list, or dyadic range 'a..b' (doubling)."""
+    """Comma list, or dyadic range 'a..b' (doubling) with 0 < a <= b."""
     raw = str(raw)
     if ".." in raw:
         lo, hi = raw.split("..", 1)
         lo, hi = int(lo), int(hi)
-        out = []
-        w = lo
-        while w <= hi:
-            out.append(w)
-            w *= 2
-        return out
+        if not 0 < lo <= hi:
+            raise ValueError(f"range a..b needs 0 < a <= b: {raw}")
+        return _dyadic(lo, hi)
     return [int(p) for p in raw.split(",") if p.strip()]
 
 
@@ -274,7 +271,7 @@ def cmd_rs(params: Params) -> dict:
     ts = _load_input(params.get("input"), params.get("dt", None, float))
     windows = params.get("windows", None, _parse_int_list)
     if windows is None:
-        windows = _parse_int_list(f"16..{ts.n // 4}")
+        windows = _dyadic(16, ts.n // 4)
     res = fractal.rescaled_range(ts, windows)
     out_dir, base, fmt = _out_paths(params, Path(params.get("input")).stem, "rs")
     files = _emit(out_dir, base, fmt, res.to_csv(), res.to_json())
@@ -301,7 +298,7 @@ def cmd_mfdfa(params: Params) -> dict:
         prof = signal_core.profile(ts)
     scales = params.get("scales", None, _parse_int_list)
     if scales is None:
-        scales = _parse_int_list(f"16..{ts.n // 4}")
+        scales = _dyadic(16, ts.n // 4)
     q = params.get("q", [-5, -3, -1, 1, 2, 3, 5], _parse_float_list)
     detrend = params.get("detrend", 1, _parse_detrend)
     res = fractal.mfdfa(prof, scales, q, detrend=detrend)

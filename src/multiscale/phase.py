@@ -7,7 +7,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .errors import (
     InvalidParameter,
@@ -122,6 +121,29 @@ def phase_difference(a: PhaseSeries, b: PhaseSeries) -> PhaseDiffResult:
                            scale=a.scale, dt=a.dt)
 
 
+def _running_range(u: np.ndarray, size: int) -> np.ndarray:
+    """Moving max - min over windows ``u[i - size//2 : i - size//2 + size]``.
+
+    Samples beyond either end repeat the edge value. Van Herk / Gil-Werman:
+    cut the padded series into blocks of ``size``; every window spans the
+    tail of one block and the head of the next, so a forward and a backward
+    running extremum per block give each window's extremum in O(n) work,
+    whatever the window size.
+    """
+    n = u.size
+    left = size // 2
+    nblocks = -(-(n + size - 1) // size)
+    right = nblocks * size - n - left
+    blocks = np.pad(u, (left, right), mode="edge").reshape(nblocks, size)
+
+    def extremum(ufunc):
+        fwd = ufunc.accumulate(blocks, axis=1).ravel()
+        bwd = ufunc.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        return ufunc(bwd[:n], fwd[size - 1:size - 1 + n])
+
+    return extremum(np.maximum) - extremum(np.minimum)
+
+
 def locking_intervals(diff: PhaseDiffResult, tolerance: float = 0.5,
                       min_duration: int = 32) -> list[tuple[int, int]]:
     """Maximal runs where the phase difference stays locked.
@@ -136,9 +158,9 @@ def locking_intervals(diff: PhaseDiffResult, tolerance: float = 0.5,
         raise InvalidParameter("tolerance must be in (0, pi)")
     if min_duration < 2:
         raise InvalidParameter("min_duration must be >= 2")
-    u = np.unwrap(diff.delta)
-    rng = (maximum_filter1d(u, size=min_duration, mode="nearest")
-           - minimum_filter1d(u, size=min_duration, mode="nearest"))
+    if min_duration > diff.delta.size:
+        return []  # no run can last min_duration samples
+    rng = _running_range(np.unwrap(diff.delta), min_duration)
     ok = (rng <= tolerance) & diff.coi_valid
     intervals = []
     start = None

@@ -7,7 +7,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from .errors import InsufficientBand, InvalidParameter, TooShort, ZeroPower
 from .signal_core import _FLOAT_FMT, TimeSeries
@@ -95,10 +94,39 @@ class HeisenbergFit:
         })
 
 
+def _mean_psd(x: np.ndarray, nperseg: int, step: int, hann: bool,
+              fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean one-sided density of the segments ``x[k*step : k*step+nperseg]``,
+    each mean-removed and tapered by a periodic Hann window or a boxcar."""
+    segs = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
+    segs = segs - segs.mean(axis=1, keepdims=True)
+    if hann:
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+    else:
+        win = np.ones(nperseg)
+    coef = np.fft.rfft(segs * win, axis=1)
+    power = (coef * coef.conj()).real / (fs * np.sum(win * win))
+    power[:, 1:(nperseg + 1) // 2] *= 2.0  # even length: Nyquist stays single
+    return np.fft.rfftfreq(nperseg, 1.0 / fs), power.mean(axis=0)
+
+
 def periodogram(ts: TimeSeries, segments: int = 1,
                 overlap_fraction: float = 0.0) -> PowerSpectrum:
-    """Welch-averaged PSD (Hann window) for segments > 1; raw rectangular
-    periodogram for segments = 1. One-sided density, DC excluded."""
+    """One-sided power spectral density, DC bin excluded.
+
+    ``segments = 1``: the raw periodogram of the mean-removed series under
+    a boxcar window. ``segments > 1``: Welch's average over segments of
+    ``nperseg = n // segments`` samples that start ``nperseg -
+    int(overlap_fraction * nperseg)`` apart, each mean-removed and tapered
+    by a periodic Hann window w; trailing samples that fill no segment are
+    dropped.
+
+    Scaling: a segment's density is |rfft|^2 / (fs * sum(w^2)), so white
+    noise of variance s^2 has mean density 2 s^2 dt. Every bin strictly
+    between DC and Nyquist is doubled to fold in the negative frequencies;
+    the Nyquist bin of an even-length segment is its own mirror image and
+    stays single.
+    """
     if segments < 1:
         raise InvalidParameter("segments must be >= 1")
     if not 0.0 <= overlap_fraction < 1.0:
@@ -107,15 +135,9 @@ def periodogram(ts: TimeSeries, segments: int = 1,
     if nperseg < 8:
         raise TooShort("segment length must be >= 8")
     fs = 1.0 / ts.dt
-    if segments == 1:
-        freqs, power = scipy.signal.periodogram(
-            ts.samples, fs=fs, window="boxcar", detrend="constant",
-            scaling="density")
-    else:
-        freqs, power = scipy.signal.welch(
-            ts.samples, fs=fs, window="hann", nperseg=nperseg,
-            noverlap=int(overlap_fraction * nperseg), detrend="constant",
-            scaling="density")
+    step = nperseg - int(overlap_fraction * nperseg)
+    freqs, power = _mean_psd(ts.samples, nperseg, step, hann=segments > 1,
+                             fs=fs)
     df = float(freqs[1] - freqs[0])
     return PowerSpectrum(freqs[1:], power[1:], n_source=ts.n, df=df)
 

@@ -7,7 +7,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import (
     EmptyBand,
@@ -205,6 +204,12 @@ def scale_avg_variance(sg: Scalogram, band: tuple[float, float]) -> TimeSeries:
     return TimeSeries(out, dt=sg.dt)
 
 
+def _chi2_ppf_2dof(level: float) -> float:
+    """Quantile of chi-squared with 2 degrees of freedom. Its CDF is
+    1 - exp(-x/2), which inverts in closed form (Torrence & Compo 1998)."""
+    return -2.0 * float(np.log1p(-level))
+
+
 def significance_mask(sg: Scalogram, level: float = 0.95) -> SignificanceMask:
     """Red-noise chi-squared significance test per Torrence-Compo.
 
@@ -220,7 +225,7 @@ def significance_mask(sg: Scalogram, level: float = 0.95) -> SignificanceMask:
     freq = sg.dt / (sg.params.fourier_factor * sg.scales)  # cycles per sample
     background = (1.0 - rho * rho) / (
         1.0 + rho * rho - 2.0 * rho * np.cos(2.0 * np.pi * freq))
-    threshold = sg.src_var * background * chi2.ppf(level, 2) / 2.0
+    threshold = sg.src_var * background * _chi2_ppf_2dof(level) / 2.0
     mask = sg.power() > threshold[:, None]
     return SignificanceMask(mask=mask, background=rho, level=level)
 

@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import multiscale as ms
-from multiscale.cli import main
+from multiscale.cli import _parse_int_list, main
 
 
 def run(capsys, *argv):
@@ -136,9 +140,46 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(err)["code"] == 4
 
+    def test_directory_input_exit_3(self, tmp_path, capsys):
+        code, out, err = run(capsys, "rs", str(tmp_path),
+                             "--out", str(tmp_path))
+        assert code == 3
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["code"] == 3
+        assert payload["operation"] == "rs"
+
+    @pytest.mark.parametrize("windows", ["0..1024", "-4..64", "64..16"])
+    def test_bad_range_exit_2(self, tmp_path, capsys, windows):
+        run(capsys, "gen", "white", "--n", "1024", "--out", str(tmp_path))
+        code, out, err = run(capsys, "rs", str(tmp_path / "white.csv"),
+                             "--windows", windows, "--out", str(tmp_path))
+        assert code == 2
+        assert json.loads(err)["code"] == 2
+
     def test_bad_subcommand_exit_2(self, tmp_path, capsys):
         code, out, err = run(capsys, "frobnicate")
         assert code == 2
+
+
+class TestIntListGrammar:
+    @given(st.integers(1, 10 ** 6), st.integers(0, 10 ** 7))
+    def test_range_is_doubling_up_to_b(self, a, span):
+        b = a + span
+        out = _parse_int_list(f"{a}..{b}")
+        assert out[0] == a
+        assert all(y == 2 * x for x, y in zip(out, out[1:]))
+        assert out[-1] <= b < 2 * out[-1]
+
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+    def test_range_outside_grammar_rejected(self, a, b):
+        assume(not 0 < a <= b)
+        with pytest.raises(ValueError):
+            _parse_int_list(f"{a}..{b}")
+
+    @given(st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=20))
+    def test_comma_list_round_trip(self, values):
+        assert _parse_int_list(",".join(map(str, values))) == values
 
 
 class TestConfig:
@@ -212,3 +253,16 @@ class TestDeterminism:
         run(capsys, "mfdfa", str(src), "--out", str(d2))
         assert (d1 / "fgn.mfdfa.csv").read_bytes() == \
             (d2 / "fgn.mfdfa.csv").read_bytes()
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(ms.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import multiscale.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert proc.stdout.strip() == "[]"

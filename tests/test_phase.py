@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import multiscale as ms
 from multiscale import errors
-from multiscale.phase import wrap_phase
+from multiscale.phase import _running_range, wrap_phase
 
 
 class TestWrapPhase:
@@ -111,6 +111,31 @@ class TestReconstructBand:
         assert np.allclose(rec.samples, 0.0)
 
 
+def brute_force_range(u, size):
+    """Window max - min with edge samples repeated beyond either end."""
+    n = u.size
+    out = np.empty(n)
+    for i in range(n):
+        idx = np.clip(np.arange(i - size // 2, i - size // 2 + size), 0, n - 1)
+        out[i] = u[idx].max() - u[idx].min()
+    return out
+
+
+class TestRunningRange:
+    @given(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1,
+                    max_size=200),
+           st.integers(2, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, values, size):
+        u = np.array(values)
+        assert np.array_equal(_running_range(u, size),
+                              brute_force_range(u, size))
+
+    def test_window_longer_than_series_sees_everything(self):
+        u = np.array([3.0, -1.0, 4.0, 1.5])
+        assert np.array_equal(_running_range(u, 9), np.full(4, 5.0))
+
+
 class TestLockingIntervals:
     def test_constant_offset_fully_locked(self):
         pa, pb = TestPhaseDifference()._pair()
@@ -156,6 +181,11 @@ class TestLockingIntervals:
         shifted = replace(d, delta=d.delta + 1.7)
         assert ms.locking_intervals(shifted, tolerance=0.5,
                                     min_duration=64) == base
+
+    def test_min_duration_longer_than_series(self):
+        pa, pb = TestPhaseDifference()._pair()
+        d = ms.phase_difference(pb, pa)
+        assert ms.locking_intervals(d, min_duration=d.delta.size + 1) == []
 
     def test_with_locking_annotates(self):
         pa, pb = TestPhaseDifference()._pair()

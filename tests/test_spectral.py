@@ -51,6 +51,61 @@ class TestPeriodogram:
             ms.periodogram(ts, segments=8)
 
 
+class TestPeriodogramClosedForms:
+    """Density scaling and one-sided folding, checked against closed forms."""
+
+    @pytest.mark.parametrize("segments", [1, 4])
+    def test_sine_power_in_its_bin(self, segments):
+        # A sine of amplitude A whose frequency is a bin of every segment
+        # carries mean power A^2 / 2. The boxcar puts it in one bin; the Hann
+        # window spreads it over that bin and its two neighbours.
+        n, dt, amp, k = 4096, 0.01, 3.0, 64
+        ts = ms.gen_sine(n, dt, k / (n * dt), amp=amp)
+        spec = ms.periodogram(ts, segments=segments)
+        peak = int(np.argmax(spec.power))
+        span = 0 if segments == 1 else 1
+        band = spec.power[peak - span:peak + span + 1].sum() * spec.df
+        assert spec.freqs[peak] == pytest.approx(k / (n * dt), rel=1e-12)
+        assert band == pytest.approx(amp ** 2 / 2.0, rel=1e-9)
+
+    @pytest.mark.parametrize("segments,overlap", [(1, 0.0), (16, 0.5)])
+    def test_white_noise_mean_density(self, segments, overlap):
+        dt = 0.01
+        ts = ms.TimeSeries(ms.gen_white_noise(2 ** 14, 7).samples, dt=dt)
+        spec = ms.periodogram(ts, segments=segments,
+                              overlap_fraction=overlap)
+        mean_density = spec.power[:-1].mean()  # Nyquist bin is single
+        assert mean_density == pytest.approx(2.0 * 1.0 * dt, rel=0.05)
+
+    def test_even_length_nyquist_bin_single(self):
+        # (-1)^k puts all of its unit mean square into the Nyquist bin;
+        # doubling that bin would report twice the power.
+        n, dt = 1024, 0.5
+        ts = ms.TimeSeries(np.where(np.arange(n) % 2 == 0, 1.0, -1.0), dt=dt)
+        spec = ms.periodogram(ts)
+        assert spec.freqs[-1] == 0.5 / dt
+        assert spec.power[-1] * spec.df == pytest.approx(1.0, rel=1e-12)
+        assert spec.power[:-1].max() < 1e-20
+
+    def test_odd_length_has_no_nyquist_bin(self):
+        # Every non-DC bin of an odd-length series has a mirror image and is
+        # doubled, so the density still integrates to the variance.
+        n, dt = 1023, 0.25
+        ts = ms.TimeSeries(ms.gen_white_noise(n, 3).samples, dt=dt)
+        spec = ms.periodogram(ts)
+        assert spec.freqs.size == (n - 1) // 2
+        assert spec.freqs[-1] < 0.5 / dt
+        assert spec.df * spec.power.sum() == pytest.approx(
+            ts.samples.var(), rel=1e-9)
+
+    def test_welch_drops_partial_trailing_segment(self):
+        x = ms.gen_white_noise(1000, 9).samples
+        tail = np.concatenate([x, 1e6 * np.ones(3)])
+        a = ms.periodogram(ms.TimeSeries(x), segments=4)
+        b = ms.periodogram(ms.TimeSeries(tail), segments=4)
+        assert np.array_equal(a.power, b.power)
+
+
 class TestFitPowerLaw:
     def test_exact_inverse_square(self):
         spec = make_power_law_spectrum(2.0)

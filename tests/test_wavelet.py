@@ -4,8 +4,8 @@ import pytest
 import multiscale as ms
 from multiscale import errors
 from multiscale.wavelet import (MorletParams, ScaleGrid, Scalogram,
-                                morlet_spectrum, scalogram_from_bytes,
-                                scalogram_to_bytes)
+                                _chi2_ppf_2dof, morlet_spectrum,
+                                scalogram_from_bytes, scalogram_to_bytes)
 
 
 def brute_force_cwt(x, dt, scales, omega0=6.0):
@@ -180,6 +180,16 @@ class TestSignificance:
         j = int(np.argmin(np.abs(sg.periods() - 64.0)))
         inside = sg.coi >= sg.scales[j]
         assert mask[j, inside].mean() > 0.95
+
+    @pytest.mark.parametrize("level,quantile", [
+        (0.5, 1.3862943611198906),
+        (0.9, 4.605170185988091),
+        (0.95, 5.991464547107979),
+        (0.99, 9.210340371976184),
+        (0.999, 13.815510557964274),
+    ])
+    def test_chi2_two_dof_quantile(self, level, quantile):
+        assert _chi2_ppf_2dof(level) == pytest.approx(quantile, rel=1e-14)
 
     def test_white_noise_false_positive_rate(self):
         hits = total = 0
