@@ -25,10 +25,6 @@ class Aliased(MultiscaleError):
     """Requested oscillation frequency is at or above Nyquist."""
 
 
-class EmbeddingFailure(MultiscaleError):
-    """Circulant embedding produced strongly negative eigenvalues."""
-
-
 class TooFewScales(MultiscaleError):
     """Fewer window sizes / scales than the estimator needs."""
 

@@ -16,7 +16,7 @@ from .errors import (
     TooFewScales,
     TooShort,
 )
-from .signal_core import _FLOAT_FMT, TimeSeries
+from .signal_core import TimeSeries, _csv_rows
 from .spectral import _ols
 
 
@@ -36,11 +36,7 @@ class RSResult:
         })
 
     def to_csv(self) -> str:
-        lines = [
-            str(int(n)) + "," + (_FLOAT_FMT % v)
-            for n, v in zip(self.window_sizes, self.rs_values)
-        ]
-        return "\n".join(lines) + "\n"
+        return _csv_rows(self.window_sizes, self.rs_values)
 
 
 @dataclass(frozen=True)
@@ -86,12 +82,9 @@ class MFDFAResult:
 
     def to_csv(self) -> str:
         """Long format: scale,q,Fq."""
-        lines = []
-        for i, s in enumerate(self.scales):
-            for j, q in enumerate(self.q_values):
-                lines.append(str(int(s)) + "," + (_FLOAT_FMT % q) + ","
-                             + (_FLOAT_FMT % self.Fq[i, j]))
-        return "\n".join(lines) + "\n"
+        return _csv_rows(np.repeat(self.scales, self.q_values.size),
+                         np.tile(self.q_values, self.scales.size),
+                         self.Fq.ravel())
 
 
 def rescaled_range(ts: TimeSeries, window_sizes) -> RSResult:

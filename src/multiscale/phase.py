@@ -14,7 +14,7 @@ from .errors import (
     ScaleMismatch,
     ScaleOutOfRange,
 )
-from .signal_core import _FLOAT_FMT, TimeSeries
+from .signal_core import TimeSeries, _csv_rows
 from .wavelet import (
     C_DELTA,
     PSI0_ZERO,
@@ -47,13 +47,8 @@ class PhaseSeries:
         return self.wrapped.size
 
     def to_csv(self) -> str:
-        t = np.arange(self.n) * self.dt
-        lines = [
-            ",".join((_FLOAT_FMT % t[i], _FLOAT_FMT % self.wrapped[i],
-                      _FLOAT_FMT % self.unwrapped[i], str(int(self.coi_valid[i]))))
-            for i in range(self.n)
-        ]
-        return "\n".join(lines) + "\n"
+        return _csv_rows(np.arange(self.n) * self.dt, self.wrapped,
+                         self.unwrapped, self.coi_valid)
 
     def to_json(self) -> str:
         return json.dumps({

@@ -18,7 +18,15 @@ from .errors import (
     TooShort,
 )
 
-_FLOAT_FMT = "%.17g"
+
+def _csv_rows(*columns) -> str:
+    """One comma-separated line per row of equal-length columns, each line
+    ending in a newline: integer and boolean columns as %d, float columns
+    as %.17g (enough digits to round-trip a float64)."""
+    cols = [np.asarray(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "iub" else "%.17g" for c in cols)
+    rows = zip(*(c.tolist() for c in cols))
+    return "\n".join([line % row for row in rows]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -87,12 +95,7 @@ class TimeSeries:
     # serialization -------------------------------------------------------
 
     def to_csv(self) -> str:
-        t = self.times()
-        lines = [
-            (_FLOAT_FMT % ti) + "," + (_FLOAT_FMT % xi)
-            for ti, xi in zip(t, self.samples)
-        ]
-        return "\n".join(lines) + "\n"
+        return _csv_rows(self.times(), self.samples)
 
     def to_json(self) -> str:
         obj = {

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientBand, InvalidParameter, TooShort, ZeroPower
-from .signal_core import _FLOAT_FMT, TimeSeries
+from .signal_core import TimeSeries, _csv_rows
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,7 @@ class PowerSpectrum:
         object.__setattr__(self, "power", p)
 
     def to_csv(self) -> str:
-        lines = [
-            (_FLOAT_FMT % f) + "," + (_FLOAT_FMT % p)
-            for f, p in zip(self.freqs, self.power)
-        ]
-        return "\n".join(lines) + "\n"
+        return _csv_rows(self.freqs, self.power)
 
     def to_json(self) -> str:
         return json.dumps({

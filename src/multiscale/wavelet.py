@@ -16,7 +16,7 @@ from .errors import (
     Malformed,
     TooShort,
 )
-from .signal_core import _FLOAT_FMT, TimeSeries
+from .signal_core import TimeSeries, _csv_rows
 
 # reconstruction constant for omega0 = 6; other omega0 values keep relative
 # scale-average/reconstruction shapes but lose absolute calibration
@@ -24,6 +24,7 @@ C_DELTA = 0.776
 PSI0_ZERO = np.pi ** (-0.25)
 
 _MAGIC = b"MSCL1"
+_HEADER = struct.Struct("<IIdd")  # N, J, dt, omega0
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,6 @@ class MorletParams:
     def __post_init__(self):
         if self.omega0 < 5.0:
             raise InvalidParameter("omega0 must be >= 5 for admissibility")
-
-    @classmethod
-    def from_bandwidth(cls, fb: float, fc: float) -> "MorletParams":
-        """Construct from (bandwidth, center frequency) parameters."""
-        if fb <= 0 or fc <= 0:
-            raise InvalidParameter("fb and fc must be > 0")
-        return cls(omega0=2.0 * np.pi * fc * np.sqrt(fb / 2.0) * np.sqrt(2.0))
 
     @property
     def fourier_factor(self) -> float:
@@ -70,6 +64,8 @@ class ScaleGrid:
     def default_for(cls, n: int, dt: float, s0: float | None = None,
                     dj: float = 0.125) -> "ScaleGrid":
         s0 = 2.0 * dt if s0 is None else s0
+        if not (0 < s0 < np.inf and 0 < dj < np.inf):
+            raise InvalidParameter("need finite s0 > 0 and dj > 0")
         j_max = int(np.floor(np.log2(n * dt / (4.0 * s0)) / dj)) + 1
         return cls(s0=s0, dj=dj, J=max(j_max, 1))
 
@@ -246,43 +242,40 @@ def scalogram_to_bytes(sg: Scalogram) -> bytes:
     omega0, J float64 scales, then row-major (re, im) float64 pairs,
     little-endian throughout."""
     j, n = sg.coeffs.shape
-    head = _MAGIC + struct.pack("<IIdd", n, j, sg.dt, sg.params.omega0)
-    scales = sg.scales.astype("<f8").tobytes()
-    inter = np.empty((j, n, 2))
-    inter[:, :, 0] = sg.coeffs.real
-    inter[:, :, 1] = sg.coeffs.imag
-    return head + scales + inter.astype("<f8").tobytes()
+    return (_MAGIC + _HEADER.pack(n, j, sg.dt, sg.params.omega0)
+            + sg.scales.astype("<f8").tobytes()
+            + sg.coeffs.astype("<c16", copy=False).tobytes())
 
 
 def scalogram_from_bytes(data: bytes) -> Scalogram:
-    if data[:5] != _MAGIC:
+    """Decode :func:`scalogram_to_bytes` output.
+
+    The record does not carry the source series' variance and lag-1
+    autocorrelation, so :func:`significance_mask` on a decoded scalogram
+    raises InvalidParameter.
+    """
+    off = len(_MAGIC) + _HEADER.size
+    if data[:len(_MAGIC)] != _MAGIC:
         raise Malformed("bad scalogram magic")
-    n, j, dt, omega0 = struct.unpack_from("<IIdd", data, 5)
-    off = 5 + struct.calcsize("<IIdd")
+    if len(data) < off:
+        raise Malformed("scalogram record shorter than its header")
+    n, j, dt, omega0 = _HEADER.unpack_from(data, len(_MAGIC))
+    if j < 1 or len(data) != off + 8 * j + 16 * j * n:
+        raise Malformed("scalogram record length does not match its header")
     scales = np.frombuffer(data, dtype="<f8", count=j, offset=off)
-    off += 8 * j
-    flat = np.frombuffer(data, dtype="<f8", count=2 * j * n, offset=off)
-    coeffs = flat.reshape(j, n, 2)
+    coeffs = np.frombuffer(data, dtype="<c16", count=j * n, offset=off + 8 * j)
     dj = np.log2(scales[1] / scales[0]) if j > 1 else 0.125
     grid = ScaleGrid(s0=float(scales[0]), dj=float(dj), J=j)
     k = np.arange(n, dtype=np.float64)
     coi = np.minimum(k, n - 1 - k) * dt / np.sqrt(2.0)
-    return Scalogram(coeffs=coeffs[:, :, 0] + 1j * coeffs[:, :, 1], grid=grid,
+    return Scalogram(coeffs=coeffs.reshape(j, n).astype(np.complex128), grid=grid,
                      dt=dt, coi=coi, params=MorletParams(omega0=omega0))
 
 
 def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask | None = None) -> str:
     """Long-format rows: scale,time,re,im,power,significant."""
-    lines = []
-    scales = sg.scales
     times = np.arange(sg.n) * sg.dt
-    power = sg.power()
-    for j in range(scales.size):
-        srow = _FLOAT_FMT % scales[j]
-        for i in range(sg.n):
-            c = sg.coeffs[j, i]
-            sig = int(mask.mask[j, i]) if mask is not None else 0
-            lines.append(",".join((
-                srow, _FLOAT_FMT % times[i], _FLOAT_FMT % c.real,
-                _FLOAT_FMT % c.imag, _FLOAT_FMT % power[j, i], str(sig))))
-    return "\n".join(lines) + "\n"
+    sig = mask.mask if mask is not None else np.zeros(sg.coeffs.shape, dtype=bool)
+    # one scale row at a time keeps the formatted text the only large buffer
+    return "".join(_csv_rows(np.full(sg.n, s), times, c.real, c.imag, p, m)
+                    for s, c, p, m in zip(sg.scales, sg.coeffs, sg.power(), sig))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import multiscale as ms
-from multiscale.cli import _parse_int_list, main
+from multiscale import phase as phase_mod, wavelet
+from multiscale.cli import CliError, Params, _parse_int_list, _parse_scale, main
 
 
 def run(capsys, *argv):
@@ -119,7 +121,112 @@ class TestAnalyses:
         assert (tmp_path / "u__v.phasediff.json").exists()
 
 
+@pytest.fixture(scope="module")
+def pair(tmp_path_factory):
+    """Two fGn inputs, a.csv and b.csv, long enough for every default grid."""
+    d = tmp_path_factory.mktemp("inputs")
+    for name, seed in (("a.csv", 1), ("b.csv", 2)):
+        (d / name).write_text(ms.gen_fgn(2048, 0.7, seed).to_csv())
+    return str(d / "a.csv"), str(d / "b.csv")
+
+
+def expected_files(analysis, fmt):
+    """Names an analysis of a.csv (and b.csv for phase2) writes under fmt."""
+    exts = {"csv": ["csv"], "json": ["json"], "both": ["csv", "json"]}[fmt]
+    op = "phase" if analysis == "phase2" else analysis
+    stems = ["a", "b"] if analysis == "phase2" else ["a"]
+    names = {f"{stem}.{op}.{ext}" for stem in stems for ext in exts}
+    if analysis == "cwt":
+        names.add("a.cwt.mscl")
+    if analysis == "phase2":
+        names.add("a__b.phasediff.json")
+    return names
+
+
+class TestFileSet:
+    @pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+    @pytest.mark.parametrize("analysis", ["spectrum", "powerlaw", "heisenberg",
+                                          "rs", "mfdfa", "cwt", "phase",
+                                          "phase2"])
+    def test_format_selects_files(self, pair, tmp_path, capsys, analysis,
+                                  fmt):
+        inputs = list(pair) if analysis == "phase2" else [pair[0]]
+        extra = ["--scale", "16dt"] if analysis.startswith("phase") else []
+        command = "phase" if analysis == "phase2" else analysis
+        code, out, err = run(capsys, command, *inputs, *extra,
+                             "--format", fmt, "--out", str(tmp_path))
+        assert code == 0, err
+        written = {p.name for p in tmp_path.iterdir()}
+        assert written == expected_files(analysis, fmt)
+        assert sorted(Path(f).name for f in last_json(out)["files"]) == \
+            sorted(written)
+
+    def test_json_format_builds_no_csv(self, pair, tmp_path, capsys,
+                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("CSV text built for --format json")
+
+        monkeypatch.setattr(wavelet, "scalogram_to_csv", refuse)
+        monkeypatch.setattr(phase_mod.PhaseSeries, "to_csv", refuse)
+        code, *_ = run(capsys, "cwt", pair[0], "--format", "json",
+                       "--out", str(tmp_path))
+        assert code == 0
+        code, *_ = run(capsys, "phase", *pair, "--scale", "16dt",
+                       "--format", "json", "--out", str(tmp_path))
+        assert code == 0
+
+
+class TestValidateFirst:
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", [["gen", "white"], ["rs", "A"],
+                                         ["cwt", "A"], ["phase", "A", "B"]])
+    def test_bad_format_exits_2_before_any_work(self, pair, tmp_path, capsys,
+                                                command, via):
+        out = tmp_path / "out"
+        argv = [{"A": pair[0], "B": pair[1]}.get(a, a) for a in command]
+        if via == "flag":
+            argv += ["--format", "xml", "--out", str(out)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"format = xml\nout = {out}\n")
+            argv += ["--config", str(cfg)]
+        code, out_text, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["detail"] == "bad format: xml"
+        assert out_text == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines", [
+        "pipeline.analyses = rs, bogus\n",
+        "pipeline.analyses = rs, gen\n",
+        "pipeline.analyses = rs, powerlaw\npowerlaw.format = xml\n",
+    ])
+    def test_pipeline_checks_every_step_first(self, pair, tmp_path, capsys,
+                                              lines):
+        out = tmp_path / "out"
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text(f"pipeline.input = {pair[0]}\nout = {out}\n" + lines)
+        code, out_text, err = run(capsys, "pipeline", "--config", str(cfg))
+        assert code == 2
+        assert json.loads(err)["code"] == 2
+        assert out_text == ""
+        assert not out.exists()
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["phase", "--scale", "abc"], ["cwt", "--s0", "0"],
+        ["cwt", "--s0", "-1"], ["cwt", "--s0", "inf"], ["cwt", "--dj", "0"],
+        ["cwt", "--dj", "abc"], ["rs", "--windows", "16,x"],
+    ])
+    def test_bad_flag_value_exit_2(self, pair, tmp_path, capsys, argv):
+        code, out, err = run(capsys, argv[0], pair[0], *argv[1:],
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 2
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_input_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0, 2.0\noops, nope\n")
@@ -180,6 +287,43 @@ class TestIntListGrammar:
     @given(st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=20))
     def test_comma_list_round_trip(self, values):
         assert _parse_int_list(",".join(map(str, values))) == values
+
+
+class TestScaleGrammar:
+    @given(st.integers(1, 10 ** 6), st.floats(1e-9, 1e3))
+    def test_dt_suffix_multiplies(self, k, dt):
+        assert _parse_scale(f"{k}dt", dt) == k * dt
+        assert _parse_scale(f" {float(k)!r}dt ", dt) == float(k) * dt
+
+    @given(st.floats(allow_nan=False), st.floats(1e-9, 1e3))
+    def test_plain_number_passes_through(self, x, dt):
+        assert _parse_scale(repr(x), dt) == x
+
+
+class TestParamsPrecedence:
+    names = st.text("abcdefgh-", min_size=1, max_size=8)
+    values = st.none() | st.integers(-10 ** 6, 10 ** 6).map(str)
+
+    @given(names, values, values, values, st.integers())
+    def test_flag_then_section_then_bare_then_default(self, name, flag,
+                                                      scoped, bare, default):
+        args = argparse.Namespace(**{name.replace("-", "_"): flag})
+        config = {f"other.{name}": "noise"}
+        if scoped is not None:
+            config[f"sec.{name}"] = scoped
+        if bare is not None:
+            config[name] = bare
+        params = Params(args, config, "sec")
+        raw = next((v for v in (flag, scoped, bare) if v is not None), None)
+        assert params.get(name, default) == (default if raw is None else raw)
+        assert params.get(name, default, int) == \
+            (default if raw is None else int(raw))
+
+    @given(names, st.text("xyz.", min_size=1))
+    def test_unconvertible_value_is_exit_2_error(self, name, raw):
+        params = Params(argparse.Namespace(), {f"sec.{name}": raw}, "sec")
+        with pytest.raises(CliError):
+            params.get(name, 0, int)
 
 
 class TestConfig:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import multiscale as ms
 from multiscale import errors
+from multiscale.signal_core import _csv_rows
 
 
 class TestLoadCsv:
@@ -184,6 +185,25 @@ class TestDelayEmbed:
         ts = ms.gen_sine(1024, 1.0, 1 / 64)
         from multiscale.signal_core import default_embedding_lag
         assert default_embedding_lag(ts) == 16
+
+
+class TestCsvRows:
+    @given(st.lists(st.tuples(st.integers(-2 ** 62, 2 ** 62), st.floats(),
+                              st.booleans()), max_size=40))
+    def test_matches_per_row_formatting(self, rows):
+        # reference: the per-value loop each result type used to carry
+        lines = [str(int(i)) + "," + ("%.17g" % x) + "," + str(int(b))
+                 for i, x, b in rows]
+        ints = np.array([r[0] for r in rows], dtype=np.int64)
+        floats = np.array([r[1] for r in rows], dtype=np.float64)
+        flags = np.array([r[2] for r in rows], dtype=bool)
+        assert _csv_rows(ints, floats, flags) == "\n".join(lines) + "\n"
+
+    def test_float_column_round_trips(self):
+        x = np.array([0.1, -0.0, 1e-300, 2.0 ** 60, np.pi])
+        text = _csv_rows(x)
+        assert np.array_equal(np.array(text.split(), dtype=float), x)
+        assert text.splitlines()[1] == "-0"
 
 
 class TestSerialization:

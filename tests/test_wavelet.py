@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import multiscale as ms
 from multiscale import errors
 from multiscale.wavelet import (MorletParams, ScaleGrid, Scalogram,
                                 _chi2_ppf_2dof, morlet_spectrum,
                                 scalogram_from_bytes, scalogram_to_bytes)
+
+_BLOB = scalogram_to_bytes(ms.cwt_morlet(ms.gen_white_noise(64, 1)))
 
 
 def brute_force_cwt(x, dt, scales, omega0=6.0):
@@ -89,6 +92,13 @@ class TestCwtBasics:
     def test_grid_too_coarse(self):
         with pytest.raises(errors.GridTooCoarse):
             ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.6, 20))
+
+    @pytest.mark.parametrize("s0, dj", [(0.0, 0.125), (-2.0, 0.125),
+                                        (np.inf, 0.125), (np.nan, 0.125),
+                                        (2.0, 0.0), (2.0, -0.5)])
+    def test_default_grid_rejects_bad_s0_dj(self, s0, dj):
+        with pytest.raises(errors.InvalidParameter):
+            ScaleGrid.default_for(1024, 1.0, s0=s0, dj=dj)
 
     def test_admissibility_floor(self):
         with pytest.raises(errors.InvalidParameter):
@@ -226,3 +236,23 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(errors.Malformed):
             scalogram_from_bytes(b"NOPE!" + bytes(64))
+
+    def test_coefficients_are_interleaved_re_im(self):
+        sg = ms.cwt_morlet(ms.gen_white_noise(100, 2), ScaleGrid(2.0, 0.5, 5))
+        body = np.frombuffer(scalogram_to_bytes(sg)[-16 * sg.coeffs.size:],
+                             dtype="<f8").reshape(5, 100, 2)
+        assert np.array_equal(body[:, :, 0], sg.coeffs.real)
+        assert np.array_equal(body[:, :, 1], sg.coeffs.imag)
+
+    @given(st.integers(0, len(_BLOB) - 1), st.binary(min_size=1, max_size=64))
+    def test_cut_or_padded_record_is_malformed(self, cut, extra):
+        with pytest.raises(errors.Malformed):
+            scalogram_from_bytes(_BLOB[:cut])
+        with pytest.raises(errors.Malformed):
+            scalogram_from_bytes(_BLOB + extra)
+
+    def test_decoded_scalogram_lacks_source_statistics(self):
+        back = scalogram_from_bytes(_BLOB)
+        assert back.coeffs.flags.writeable
+        with pytest.raises(errors.InvalidParameter):
+            ms.significance_mask(back)
