@@ -239,9 +239,14 @@ def _parse_detrend(raw: str):
 def cmd_mfdfa(params: Params, ts) -> tuple[dict, list[Artifact]]:
     if not params.get("no-profile", False, _parse_bool):
         ts = signal_core.profile(ts)
-    scales = params.get("scales", _dyadic(16, ts.n // 4), _parse_int_list)
-    q = params.get("q", [-5, -3, -1, 1, 2, 3, 5], _parse_float_list)
     detrend = params.get("detrend", 1, _parse_detrend)
+    scales = _dyadic(16, ts.n // 4)
+    if isinstance(detrend, fractal.WaveletDetrend):
+        # stop where the residual interior left by the boundary margins
+        # no longer holds 4 segments
+        scales = [s for s in scales if detrend.interior(ts.n, s) >= 4 * s]
+    scales = params.get("scales", scales, _parse_int_list)
+    q = params.get("q", [-5, -3, -1, 1, 2, 3, 5], _parse_float_list)
     res = fractal.mfdfa(ts, scales, q, detrend=detrend)
     width = fractal.multifractality_width(res) if res.q_values.size >= 3 else None
     h2 = res.h(2.0) if np.any(np.isclose(res.q_values, 2.0)) else None

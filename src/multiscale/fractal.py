@@ -14,7 +14,6 @@ from .errors import (
     InvalidParameter,
     NonPositiveVariance,
     TooFewScales,
-    TooShort,
 )
 from .signal_core import TimeSeries, _csv_rows
 from .spectral import _ols
@@ -51,6 +50,14 @@ class WaveletDetrend:
 
     order: int
     level: int | None = None
+
+    def level_for(self, scale: int) -> int:
+        return self.level if self.level is not None else max(1, int(np.log2(scale)))
+
+    def interior(self, n: int, scale: int) -> int:
+        """Residual samples left at this scale once both boundary margins
+        of an n-sample series are cut."""
+        return n - 2 * detrend_margin(self.order, self.level_for(scale))
 
 
 @dataclass(frozen=True)
@@ -140,15 +147,16 @@ def _segment_variances_poly(x: np.ndarray, scale: int, order: int) -> np.ndarray
     """Detrended variance per segment, forward and reverse segmentations."""
     n = x.size
     nseg = n // scale
-    t = np.arange(scale, dtype=np.float64)
-    design = np.vander(t, order + 1, increasing=True)
-    # residual projector applied from the right: res = seg - seg @ hat.T
-    hat = design @ np.linalg.pinv(design)
+    # orthonormal basis of the polynomials of degree <= order on the segment:
+    # subtracting the projection onto it is the least-squares detrend, in
+    # O(scale * order) memory instead of a scale x scale hat matrix
+    basis, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, scale), order + 1,
+                                      increasing=True))
     fwd = x[: nseg * scale].reshape(nseg, scale)
     rev = x[n - nseg * scale :].reshape(nseg, scale)
     out = np.empty(2 * nseg)
     for k, seg in enumerate((fwd, rev)):
-        res = seg - seg @ hat.T
+        res = seg - (seg @ basis) @ basis.T
         out[k * nseg : (k + 1) * nseg] = np.mean(res * res, axis=1)
     return out
 
@@ -175,7 +183,7 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
     scales = np.asarray(sorted(set(int(s) for s in scales)), dtype=int)
     q = np.asarray(q_values, dtype=np.float64)
     if scales.size < 6:
-        raise TooFewScales("need >= 6 scales")
+        raise TooFewScales(f"need >= 6 scales, got {scales.size}")
     if q.size < 1 or np.any(q == 0) or np.any(np.abs(q) > 10):
         raise InvalidParameter("q values must exclude 0 and satisfy |q| <= 10")
     n = profile_ts.n
@@ -183,21 +191,26 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
         raise InvalidParameter("scales must lie within [16, length/4]")
 
     if isinstance(detrend, WaveletDetrend):
+        # a level per scale needs one segment in that level's residual
+        # interior; one fixed level needs four of the largest scale
+        need = 1 if detrend.level is None else 4
+        for s in scales:
+            if detrend.interior(n, int(s)) < need * s:
+                raise InvalidParameter(
+                    f"scale {s}: the residual interior left by the wavelet "
+                    f"boundary margins holds fewer than {need} segment(s)")
+
         def _wavelet_residual(level: int) -> np.ndarray:
             resid = wavelet_detrend(profile_ts, detrend.order, level)
             margin = detrend_margin(detrend.order, level)
-            if 2 * margin >= n:
-                raise TooShort("residual interior too short at this level")
             return resid.samples[margin : n - margin]
 
         if detrend.level is None:
             def var_fn(s):
                 return _segment_variances_plain(
-                    _wavelet_residual(max(1, int(np.log2(s)))), s)
+                    _wavelet_residual(detrend.level_for(s)), s)
         else:
             x = _wavelet_residual(detrend.level)
-            if x.size < 4 * scales[-1]:
-                raise TooShort("residual interior too short for the largest scale")
             var_fn = lambda s: _segment_variances_plain(x, s)
     else:
         order = int(detrend)

@@ -130,6 +130,13 @@ def pair(tmp_path_factory):
     return str(d / "a.csv"), str(d / "b.csv")
 
 
+@pytest.fixture(scope="module")
+def fgn_8192(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fgn") / "fgn.csv"
+    path.write_text(ms.gen_fgn(8192, 0.8, 42).to_csv())
+    return str(path)
+
+
 def expected_files(analysis, fmt):
     """Names an analysis of a.csv (and b.csv for phase2) writes under fmt."""
     exts = {"csv": ["csv"], "json": ["json"], "both": ["csv", "json"]}[fmt]
@@ -268,6 +275,27 @@ class TestExitCodes:
         code, out, err = run(capsys, "frobnicate")
         assert code == 2
 
+    @pytest.mark.parametrize("detrend", ["wavelet:2", "wavelet:2,3"])
+    def test_wavelet_detrend_default_scales_exit_0(self, fgn_8192, tmp_path,
+                                                   capsys, detrend):
+        code, out, err = run(capsys, "mfdfa", fgn_8192, "--detrend", detrend,
+                             "--format", "json", "--out", str(tmp_path))
+        assert code == 0, err
+        scales = json.loads((tmp_path / "fgn.mfdfa.json").read_text())["scales"]
+        wd = ms.fractal.WaveletDetrend(2, 3 if detrend.endswith(",3") else None)
+        assert len(scales) >= 6 and scales[0] == 16
+        assert all(wd.interior(8192, s) >= 4 * s for s in scales)
+        assert wd.interior(8192, 2 * scales[-1]) < 8 * scales[-1]
+
+    @pytest.mark.parametrize("detrend", ["wavelet:2", "wavelet:2,3"])
+    def test_wavelet_detrend_impossible_scales_exit_2(self, fgn_8192, tmp_path,
+                                                      capsys, detrend):
+        code, out, err = run(capsys, "mfdfa", fgn_8192, "--detrend", detrend,
+                             "--scales", "16..2048", "--out", str(tmp_path))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 2
+
 
 class TestIntListGrammar:
     @given(st.integers(1, 10 ** 6), st.integers(0, 10 ** 7))
@@ -400,13 +428,23 @@ class TestDeterminism:
 
 
 class TestImportCost:
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def cli_import_loads(package):
+        """Modules of ``package`` that a fresh ``import multiscale.cli`` loads."""
         src = str(Path(ms.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "import multiscale.cli; "
                 "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code, src],
+                "if m.split('.')[0] == sys.argv[2]))")
+        proc = subprocess.run([sys.executable, "-c", code, src, package],
                               capture_output=True, text=True, timeout=60,
                               check=True)
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self.cli_import_loads("scipy") == "[]"
+
+    def test_cli_import_loads_no_concurrent(self):
+        # the CWT splits its rows over plain threads; concurrent.futures
+        # would add ~10 ms to every CLI call
+        assert self.cli_import_loads("concurrent") == "[]"

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import multiscale as ms
-from multiscale import errors
-from multiscale.fractal import WaveletDetrend, detrend_margin
+from multiscale import errors, fractal
+from multiscale.fractal import (WaveletDetrend, _segment_variances_poly,
+                                detrend_margin)
 
 DYADIC = [2 ** k for k in range(4, 13)]
 Q6 = [-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]
@@ -27,6 +30,22 @@ def naive_rescaled_range(x, sizes):
     lx = np.log(np.asarray(sizes, float))
     ly = np.log(np.asarray(rs_means))
     return np.polyfit(lx, ly, 1)[0], rs_means
+
+
+def hat_matrix_variances(x, scale, order):
+    """Per-segment detrended variance through the scale x scale least-squares
+    hat matrix on t = 0 .. scale-1: the reference for the QR projection."""
+    n = x.size
+    nseg = n // scale
+    design = np.vander(np.arange(scale, dtype=np.float64), order + 1,
+                       increasing=True)
+    hat = design @ np.linalg.pinv(design)
+    out = []
+    for seg in (x[: nseg * scale].reshape(nseg, scale),
+                x[n - nseg * scale:].reshape(nseg, scale)):
+        res = seg - seg @ hat.T
+        out.append(np.mean(res * res, axis=1))
+    return np.concatenate(out)
 
 
 def tau_analytic(q, p=0.6):
@@ -137,6 +156,51 @@ class TestMFDFA:
         res = ms.mfdfa(prof, [2 ** k for k in range(4, 11)], [1.0, 2.0, 3.0],
                        detrend=WaveletDetrend(2))
         assert res.h(2.0) == pytest.approx(0.8, abs=0.1)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_fq_matches_hat_matrix_reference(self, monkeypatch, order):
+        prof = ms.profile(ms.gen_fgn(4096, 0.8, 5))
+        scales = DYADIC[:-3]
+        got = ms.mfdfa(prof, scales, Q6, detrend=order).Fq
+        monkeypatch.setattr(fractal, "_segment_variances_poly",
+                            hat_matrix_variances)
+        ref = ms.mfdfa(prof, scales, Q6, detrend=order).Fq
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    def test_poly_detrend_memory_is_linear(self):
+        # an s x s hat matrix at s = 16384 would take 2 GB
+        n, s = 65536, 16384
+        x = ms.profile(ms.gen_fgn(n, 0.8, 1)).samples
+        tracemalloc.start()
+        try:
+            f2 = _segment_variances_poly(x, s, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f2.shape == (8,)
+        assert peak < 8 * (8 * n)
+
+    @pytest.mark.parametrize("level", [None, 3])
+    def test_wavelet_grid_that_cannot_fit_is_invalid(self, level):
+        prof = ms.profile(ms.gen_fgn(8192, 0.8, 42))
+        wd = WaveletDetrend(2, level)
+        assert wd.interior(8192, 2048) < 4 * 2048
+        with pytest.raises(errors.InvalidParameter):
+            ms.mfdfa(prof, [2 ** k for k in range(4, 12)], Q6, detrend=wd)
+
+    def test_wavelet_scale_with_no_interior_segment_is_invalid(self):
+        # level 9 at s = 1000 leaves 5200 - 2 * 511 * 5 = 90 samples: no
+        # whole segment, which used to give NaN fluctuations
+        prof = ms.profile(ms.gen_fgn(5200, 0.8, 42))
+        with pytest.raises(errors.InvalidParameter):
+            ms.mfdfa(prof, [16, 32, 64, 128, 256, 1000], Q6,
+                     detrend=WaveletDetrend(3))
+
+    def test_wavelet_interior(self):
+        assert WaveletDetrend(2).interior(8192, 512) == \
+            8192 - 2 * detrend_margin(2, 9)
+        assert WaveletDetrend(2, 3).interior(8192, 512) == \
+            8192 - 2 * detrend_margin(2, 3)
 
     def test_q_zero_rejected(self):
         prof = ms.profile(ms.gen_white_noise(4096, 0))

@@ -1,11 +1,15 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import multiscale as ms
-from multiscale import errors
+from multiscale import errors, wavelet
 from multiscale.wavelet import (MorletParams, ScaleGrid, Scalogram,
-                                _chi2_ppf_2dof, morlet_spectrum,
+                                _chi2_ppf_2dof, _pad_length, morlet_spectrum,
                                 scalogram_from_bytes, scalogram_to_bytes)
 
 _BLOB = scalogram_to_bytes(ms.cwt_morlet(ms.gen_white_noise(64, 1)))
@@ -105,6 +109,100 @@ class TestCwtBasics:
             MorletParams(omega0=4.0)
 
 
+def full_spectrum_cwt(ts, grid, params, pad):
+    """The transform as one full-length spectrum product and one ifft per
+    scale on the calling thread: the reference that the half-spectrum,
+    multi-threaded ``cwt_morlet`` must match bit for bit."""
+    n = ts.n
+    m = _pad_length(n) if pad == "zero" else n
+    x = np.zeros(m)
+    x[:n] = ts.samples
+    spec = np.fft.fft(x)
+    omega = 2.0 * np.pi * np.fft.fftfreq(m, ts.dt)
+    coeffs = np.empty((grid.J, n), dtype=np.complex128)
+    for j, s in enumerate(grid.scales):
+        psi_hat = np.sqrt(2.0 * np.pi * s / ts.dt) * morlet_spectrum(
+            omega, s, params.omega0)
+        coeffs[j] = np.fft.ifft(spec * np.conj(psi_hat))[:n]
+    return coeffs
+
+
+@st.composite
+def cwt_cases(draw):
+    n = draw(st.integers(32, 4096))
+    dt = draw(st.floats(1e-3, 10.0))
+    dj = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
+    j_max = ScaleGrid.default_for(n, dt, dj=dj).J
+    grid = ScaleGrid(2.0 * dt, dj, draw(st.integers(1, min(j_max, 12))))
+    x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(n)
+    pad = draw(st.sampled_from(["zero", "periodic"]))
+    omega0 = draw(st.sampled_from([6.0, 5.0, 8.5]))
+    return ms.TimeSeries(x, dt=dt), grid, MorletParams(omega0), pad
+
+
+class TestCwtThreads:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(case=cwt_cases())
+    def test_bit_identical_to_full_spectrum_loop(self, cpus, case):
+        ts, grid, params, pad = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            mp.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+            got = ms.cwt_morlet(ts, grid, params, pad=pad).coeffs
+        ref = full_spectrum_cwt(ts, grid, params, pad)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("n, J, started", [(4096, 1, 0), (4096, 2, 1),
+                                               (4096, 5, 2), (2047, 5, 0)])
+    def test_one_thread_per_cpu_capped_at_scale_count(self, monkeypatch, n, J,
+                                                      started):
+        threads = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(threading, "Thread", Counted)
+        ms.cwt_morlet(ms.gen_white_noise(n, 0), ScaleGrid(2.0, 0.5, J))
+        assert len(threads) == started
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # 8 workers on a short switch interval: a row lost or written twice
+        # by another worker breaks bit equality with the reference
+        ts = ms.gen_fgn(600, 0.8, 9)
+        grid = ScaleGrid(2.0, 0.125, 49)
+        ref = full_spectrum_cwt(ts, grid, MorletParams(), "zero")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: results.extend(
+                ms.cwt_morlet(ts, grid).coeffs for _ in range(20)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(results) == 20
+        for got in results:
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def failing_ifft(*args, **kwargs):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        monkeypatch.setattr(np.fft, "ifft", failing_ifft)
+        with pytest.raises(MemoryError):
+            ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.5, 6))
+
+
 class TestGlobalSpectrum:
     def test_two_sines_two_peaks(self):
         n = 8192
@@ -134,6 +232,13 @@ class TestGlobalSpectrum:
             sel = (scales >= lo) & (scales < hi)
             means.append(accum[sel].mean())
         assert max(means) / min(means) < 2.5
+
+    def test_row_by_row_power_matches_full_power(self):
+        sg = ms.cwt_morlet(ms.gen_fgn(1000, 0.8, 3))
+        power = sg.power()
+        for got, want in ((ms.global_spectrum(sg), power.mean(axis=1)),
+                          (ms.wavelet.scale_power_sum(sg), power.sum(axis=1))):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_scale_power_sum_consistent(self):
         sg = ms.cwt_morlet(ms.gen_white_noise(1024, 3))
