@@ -25,11 +25,18 @@ from .signal_core import TimeSeries, _csv_rows
 C_DELTA = 0.776
 PSI0_ZERO = np.pi ** (-0.25)
 
-# Shortest transform length that is split over threads: below it each row's
-# FFT is too short to pay for handing the GIL between threads (on a 2-core
-# host two threads ran ~2x slower than one at 1024 and 2048 points, ~1.1x
-# faster at 4096 and ~1.6x faster at 8192)
+# Shortest padded transform length that is split over threads: below it
+# each row's FFT is too short to pay for handing the GIL between threads.
+# scripts/cwt_threads.py on a 2-core host: two threads took 1.2-1.9x as long
+# as one at 512-2048 points, about as long at 4096 and 1.4-1.5x less at 8192.
+# No benchmark workload transforms fewer than 16384 points.
 _THREADED_MIN_LENGTH = 4096
+# Most threads per transform. Each worker holds its own buffers: at n = 2**16
+# (131072 points, 105 scales) the transform added 118/125/138/164/203 MB of
+# peak RSS with 1/2/4/8/16 workers (same script), so large hosts, and CPU
+# counts that ignore cgroup quotas, cost at most ~14 MB over two workers.
+# Speed-ups beyond 2 CPUs are unmeasured.
+_MAX_WORKERS = 4
 
 _MAGIC = b"MSCL1"
 _HEADER = struct.Struct("<IIdd")  # N, J, dt, omega0
@@ -132,35 +139,17 @@ def lag1_autocorr(x: np.ndarray) -> float:
     return float(np.sum(d[1:] * d[:-1]) / denom)
 
 
-def _split_rows(rows, count: int) -> None:
-    """Run ``rows(k, w)`` for k = 0..w-1 on w threads, one per available CPU
-    and at most ``count``; worker k takes rows k, k+w, k+2w, ...
-
-    numpy's FFT and ufuncs release the GIL and each worker writes only its
-    own rows, so the result does not depend on w. Worker 0 is the calling
-    thread; an exception in any worker is raised here after all have ended.
-    """
+def _worker_count(rows: int, length: int) -> int:
+    """Threads for a transform of ``rows`` scales at padded ``length``: one
+    per available CPU, at most ``_MAX_WORKERS`` and ``rows``, and one below
+    ``_THREADED_MIN_LENGTH``."""
+    if length < _THREADED_MIN_LENGTH:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
-    w = min(cpus, count)
-    failed = []
-
-    def run(k: int) -> None:
-        try:
-            rows(k, w)
-        except BaseException as exc:  # re-raised on the calling thread
-            failed.append(exc)
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, w)]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
-        t.join()
-    if failed:
-        raise failed[0]
+    return max(1, min(cpus, _MAX_WORKERS, rows))
 
 
 def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
@@ -193,18 +182,44 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     omega = 2.0 * np.pi * np.fft.fftfreq(m, ts.dt)[pos]
 
     coeffs = np.empty((grid.J, n), dtype=np.complex128)
+    # worker k fills rows k, k+w, k+2w, ...; numpy's FFT and ufuncs release
+    # the GIL and each worker writes only its own rows, so the result does
+    # not depend on w. Worker 0 is the calling thread.
+    w = _worker_count(grid.J, m)
+    failed: list[BaseException] = []
 
-    def rows(first: int, step: int) -> None:
+    def rows(first: int) -> None:
         z = np.zeros(m, dtype=np.complex128)
-        out = np.empty(m, dtype=np.complex128)
-        for j in range(first, grid.J, step):
+        for j in range(first, grid.J, w):
+            if failed:  # another worker has raised: stop after this row
+                return
             s = scales[j]
             psi_hat = np.sqrt(2.0 * np.pi * s / ts.dt) * morlet_spectrum(
                 omega, s, params.omega0)
             np.multiply(spec, psi_hat, out=z[pos])
-            coeffs[j] = np.fft.ifft(z, out=out)[:n]
+            coeffs[j] = np.fft.ifft(z)[:n]
 
-    _split_rows(rows, grid.J if m >= _THREADED_MIN_LENGTH else 1)
+    def worker(k: int) -> None:
+        try:
+            rows(k)
+        except Exception as exc:  # re-raised on the calling thread
+            failed.append(exc)
+
+    threads = []
+    try:
+        for k in range(1, w):
+            t = threading.Thread(target=worker, args=(k,))
+            t.start()
+            threads.append(t)
+        rows(0)
+    except BaseException as exc:  # Ctrl-C included: stop the workers early
+        failed.append(exc)
+        raise
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[0]
 
     k = np.arange(n, dtype=np.float64)
     coi = np.minimum(k, n - 1 - k) * ts.dt / np.sqrt(2.0)

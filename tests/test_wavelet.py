@@ -169,6 +169,12 @@ class TestCwtThreads:
         ms.cwt_morlet(ms.gen_white_noise(n, 0), ScaleGrid(2.0, 0.5, J))
         assert len(threads) == started
 
+    def test_workers_capped_on_many_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert wavelet._worker_count(105, 131072) == wavelet._MAX_WORKERS
+        assert wavelet._worker_count(2, 131072) == 2
+        assert wavelet._worker_count(105, 2048) == 1
+
     def test_stress_more_workers_than_cores(self, monkeypatch):
         # 8 workers on a short switch interval: a row lost or written twice
         # by another worker breaks bit equality with the reference
@@ -177,6 +183,7 @@ class TestCwtThreads:
         ref = full_spectrum_cwt(ts, grid, MorletParams(), "zero")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        monkeypatch.setattr(wavelet, "_MAX_WORKERS", 8)
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -201,6 +208,59 @@ class TestCwtThreads:
         monkeypatch.setattr(np.fft, "ifft", failing_ifft)
         with pytest.raises(MemoryError):
             ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.5, 6))
+
+    def test_error_on_another_worker_reaches_the_caller(self, monkeypatch):
+        ifft = np.fft.ifft
+        main = threading.main_thread()
+
+        def failing_off_main(z):
+            if threading.current_thread() is not main:
+                raise MemoryError("no room")
+            return ifft(z)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        monkeypatch.setattr(np.fft, "ifft", failing_off_main)
+        with pytest.raises(MemoryError):
+            ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.5, 6))
+
+    def test_interrupt_on_caller_joins_and_stops_workers(self, monkeypatch):
+        # Ctrl-C on the calling thread propagates once the workers, told
+        # to stop, have finished the row they are on
+        ifft = np.fft.ifft
+        main = threading.main_thread()
+        rows_off_main = []
+
+        def interrupted_on_main(z):
+            if threading.current_thread() is main:
+                raise KeyboardInterrupt
+            rows_off_main.append(1)
+            return ifft(z)
+
+        before = threading.active_count()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        monkeypatch.setattr(np.fft, "ifft", interrupted_on_main)
+        with pytest.raises(KeyboardInterrupt):
+            ms.cwt_morlet(ms.gen_white_noise(4096, 0), ScaleGrid(2.0, 0.125, 60))
+        assert threading.active_count() == before
+        assert len(rows_off_main) < 40  # two workers' share of 60 rows
+
+    def test_failed_thread_start_joins_the_started_ones(self, monkeypatch):
+        started = []
+
+        class SecondFails(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(threading, "Thread", SecondFails)
+        with pytest.raises(RuntimeError):
+            ms.cwt_morlet(ms.gen_white_noise(4096, 0), ScaleGrid(2.0, 0.5, 6))
+        assert len(started) == 1 and not started[0].is_alive()
 
 
 class TestGlobalSpectrum:
