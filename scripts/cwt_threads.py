@@ -10,9 +10,10 @@ transforms each, for m from 512 to 131072. It shows where the
 say nothing about throughput, so only 1 and 2 are timed.
 
 Memory: one fresh process per worker count in 1, 2, 4, 8, 16 runs one
-transform at n = 2**16 and reports its ``ru_maxrss``. Workers beyond the
-CPUs still hold their buffers at the same time, so this bounds what a
-larger host adds, which is what ``_MAX_WORKERS`` caps.
+transform of white noise at n = 2**16 (131072 points, 105 scales) and
+reports its ``ru_maxrss`` and how much the transform added to it. Workers
+beyond the CPUs still hold their buffers at the same time, so this shows
+what a larger host adds, which is what ``_MAX_WORKERS`` caps.
 """
 
 from __future__ import annotations

@@ -258,7 +258,7 @@ class TestCwtThreads:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(threading, "Thread", SecondFails)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="can't start"):
             ms.cwt_morlet(ms.gen_white_noise(4096, 0), ScaleGrid(2.0, 0.5, 6))
         assert len(started) == 1 and not started[0].is_alive()
 
