@@ -28,15 +28,12 @@ from .phase import (
     wrap_phase,
 )
 from .signal_core import (
-    ChannelMeta,
     TimeSeries,
-    delay_embed,
     gen_binomial_cascade,
     gen_fgn,
     gen_sine,
     gen_white_noise,
     load_csv,
-    lowpass,
     profile,
 )
 from .spectral import (

@@ -5,7 +5,7 @@ plus a one-line JSON summary on stdout."""
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -74,13 +74,19 @@ class Params:
 
     def get(self, name: str, default=None, convert=str):
         """The first of flag, ``section.name`` key and bare ``name`` key that
-        is set, converted; ``default`` (unconverted) when none is."""
+        is set, converted; ``default`` (unconverted) when none is. A float,
+        or a float in a list, that is not finite is a bad value."""
         for raw in (getattr(self.args, name.replace("-", "_"), None),
                     self.config.get(f"{self.section}.{name}"),
                     self.config.get(name)):
             if raw is not None:
                 try:
-                    return convert(raw)
+                    value = convert(raw)
+                    values = value if isinstance(value, list) else [value]
+                    if any(isinstance(v, float) and not math.isfinite(v)
+                           for v in values):
+                        raise ValueError(raw)
+                    return value
                 except (TypeError, ValueError) as exc:
                     raise CliError(f"bad value for {name}: {raw}") from exc
         return default
@@ -148,6 +154,8 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
     dt = params.get("dt", 1.0, float)
     seed = params.get("seed", 0, int)
     n = params.get("n", 4096, int)
+    if n < 2:
+        raise CliError("n must be >= 2")
     if kind == "white":
         ts = signal_core.gen_white_noise(n, seed)
     elif kind == "fgn":
@@ -270,13 +278,9 @@ def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
     mask = wavelet.significance_mask(sg, level)
     gws = wavelet.global_spectrum(sg)
     n_significant = int(mask.mask.sum())
-    gws_json = lambda: json.dumps({
-        "scales": sg.scales.tolist(),
-        "periods": sg.periods().tolist(),
-        "global_spectrum": gws.tolist(),
-        "significance_level": level,
-        "n_significant": n_significant,
-    })
+    gws_json = lambda: signal_core._json(
+        scales=sg.scales, periods=sg.periods(), global_spectrum=gws,
+        significance_level=level, n_significant=n_significant)
     j = int(np.argmax(gws))
     return ({"peak_scale": float(sg.scales[j]),
              "peak_period": float(sg.periods()[j]),
@@ -437,7 +441,7 @@ def main(argv=None) -> int:
         else:
             summaries = [_run(Params(args, config, args.command))]
         for summary in summaries:
-            print(json.dumps(summary))
+            print(signal_core._json(**summary))
         return 0
     except _ARG_ERRORS as exc:
         code, detail = 2, str(exc)
@@ -446,7 +450,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         code, detail = 4, str(exc)
     operation = argv[0] if argv else "cli"
-    print(json.dumps({"code": code, "operation": operation, "detail": detail}),
+    print(signal_core._json(code=code, operation=operation, detail=detail),
           file=sys.stderr)
     return code
 

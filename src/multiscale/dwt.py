@@ -1,5 +1,5 @@
-"""Daubechies discrete wavelet transform: Mallat pyramid with symmetric or
-periodic boundary handling, and its exact inverse."""
+"""Daubechies discrete wavelet transform: Mallat pyramid with symmetric
+boundary extension, and its exact inverse."""
 
 from __future__ import annotations
 
@@ -56,8 +56,6 @@ _DB_FILTERS = {
          0.18817680007769148902, 0.026670057900555553587],
 }
 
-_MODES = ("symmetric", "periodic")
-
 
 def filter_bank(order: int):
     """(dec_lo, dec_hi, rec_lo, rec_hi) for Daubechies order 1..10."""
@@ -82,7 +80,6 @@ class DWTCoeffs:
     approx: np.ndarray
     details: tuple
     order: int
-    mode: str
     lengths: tuple  # input length at each level, finest first
     dt: float = 1.0
 
@@ -110,34 +107,11 @@ def _idwt1_sym(ca: np.ndarray, cd: np.ndarray, rec_lo: np.ndarray,
     return y[length - 2 : length - 2 + n_out]
 
 
-def _dwt1_per(x: np.ndarray, rec_lo: np.ndarray, rec_hi: np.ndarray):
-    # analysis = transpose of the orthonormal circular synthesis operator
-    n = x.size
-    length = rec_lo.size
-    idx = (np.arange(length)[None, :] + 2 * np.arange(n // 2)[:, None]) % n
-    windows = x[idx]
-    return windows @ rec_lo, windows @ rec_hi
-
-
-def _idwt1_per(ca: np.ndarray, cd: np.ndarray, rec_lo: np.ndarray,
-               rec_hi: np.ndarray, n_out: int) -> np.ndarray:
-    length = rec_lo.size
-    y = np.zeros(n_out)
-    idx = (np.arange(length)[None, :] + 2 * np.arange(ca.size)[:, None]) % n_out
-    np.add.at(y, idx, ca[:, None] * rec_lo[None, :] + cd[:, None] * rec_hi[None, :])
-    return y
-
-
-def dwt(ts: TimeSeries | np.ndarray, order: int, levels: int,
-        mode: str = "symmetric") -> DWTCoeffs:
-    """Mallat pyramid decomposition.
+def dwt(ts: TimeSeries | np.ndarray, order: int, levels: int) -> DWTCoeffs:
+    """Mallat pyramid decomposition with symmetric boundary extension.
 
     ``levels`` must satisfy levels <= floor(log2(N / filter_length)).
-    Periodic mode requires an even length at every level (power-of-two
-    lengths always qualify).
     """
-    if mode not in _MODES:
-        raise InvalidParameter(f"mode must be one of {_MODES}")
     if isinstance(ts, TimeSeries):
         x, dt = ts.samples, ts.dt
     else:
@@ -147,21 +121,16 @@ def dwt(ts: TimeSeries | np.ndarray, order: int, levels: int,
         raise InvalidParameter("levels must be >= 1")
     if levels > int(np.floor(np.log2(x.size / length))):
         raise TooShort("series too short for this order/levels")
-    dec_lo, dec_hi, rec_lo, rec_hi = filter_bank(order)
+    dec_lo, dec_hi, _, _ = filter_bank(order)
 
     details = []
     lengths = []
     a = x
     for _ in range(levels):
         lengths.append(a.size)
-        if mode == "periodic":
-            if a.size % 2:
-                raise TooShort("periodic mode needs an even length at every level")
-            a, d = _dwt1_per(a, rec_lo, rec_hi)
-        else:
-            a, d = _dwt1_sym(a, dec_lo, dec_hi)
+        a, d = _dwt1_sym(a, dec_lo, dec_hi)
         details.append(d)
-    return DWTCoeffs(approx=a, details=tuple(details), order=order, mode=mode,
+    return DWTCoeffs(approx=a, details=tuple(details), order=order,
                      lengths=tuple(lengths), dt=dt)
 
 
@@ -170,10 +139,7 @@ def idwt(coeffs: DWTCoeffs) -> TimeSeries:
     _, _, rec_lo, rec_hi = filter_bank(coeffs.order)
     a = coeffs.approx
     for d, n_out in zip(coeffs.details[::-1], coeffs.lengths[::-1]):
-        if coeffs.mode == "periodic":
-            a = _idwt1_per(a, d, rec_lo, rec_hi, n_out)
-        else:
-            a = _idwt1_sym(a, d, rec_lo, rec_hi, n_out)
+        a = _idwt1_sym(a, d, rec_lo, rec_hi, n_out)
     return TimeSeries(a, dt=coeffs.dt)
 
 
@@ -181,8 +147,8 @@ def zero_details(coeffs: DWTCoeffs) -> DWTCoeffs:
     """Copy of the pyramid with every detail band zeroed (trend only)."""
     return DWTCoeffs(approx=coeffs.approx,
                      details=tuple(np.zeros_like(d) for d in coeffs.details),
-                     order=coeffs.order, mode=coeffs.mode,
-                     lengths=coeffs.lengths, dt=coeffs.dt)
+                     order=coeffs.order, lengths=coeffs.lengths,
+                     dt=coeffs.dt)
 
 
 def boundary_margin(order: int, level: int) -> int:

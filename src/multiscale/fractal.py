@@ -3,7 +3,6 @@ analysis with polynomial or Daubechies-wavelet detrending."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,7 @@ from .errors import (
     NonPositiveVariance,
     TooFewScales,
 )
-from .signal_core import TimeSeries, _csv_rows
+from .signal_core import TimeSeries, _csv_rows, _json
 from .spectral import _ols
 
 
@@ -27,12 +26,8 @@ class RSResult:
     stderr: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "hurst": self.hurst,
-            "stderr": self.stderr,
-            "window_sizes": self.window_sizes.tolist(),
-            "rs_values": self.rs_values.tolist(),
-        })
+        return _json(hurst=self.hurst, stderr=self.stderr,
+                     window_sizes=self.window_sizes, rs_values=self.rs_values)
 
     def to_csv(self) -> str:
         return _csv_rows(self.window_sizes, self.rs_values)
@@ -57,7 +52,7 @@ class WaveletDetrend:
     def interior(self, n: int, scale: int) -> int:
         """Residual samples left at this scale once both boundary margins
         of an n-sample series are cut."""
-        return n - 2 * detrend_margin(self.order, self.level_for(scale))
+        return n - 2 * boundary_margin(self.order, self.level_for(scale))
 
 
 @dataclass(frozen=True)
@@ -77,15 +72,9 @@ class MFDFAResult:
         return float(self.hq[idx[0]])
 
     def to_json(self) -> str:
-        return json.dumps({
-            "scales": self.scales.tolist(),
-            "q_values": self.q_values.tolist(),
-            "Fq": self.Fq.tolist(),
-            "hq": self.hq.tolist(),
-            "tau": self.tau.tolist(),
-            "alpha_sing": self.alpha_sing.tolist(),
-            "f_alpha": self.f_alpha.tolist(),
-        })
+        return _json(scales=self.scales, q_values=self.q_values, Fq=self.Fq,
+                     hq=self.hq, tau=self.tau, alpha_sing=self.alpha_sing,
+                     f_alpha=self.f_alpha)
 
     def to_csv(self) -> str:
         """Long format: scale,q,Fq."""
@@ -134,13 +123,9 @@ def wavelet_detrend(ts: TimeSeries, wavelet_order: int, level: int) -> TimeSerie
     """
     if level < 1:
         raise InvalidParameter("level must be >= 1")
-    coeffs = _dwt_decompose(ts, wavelet_order, level, mode="symmetric")
+    coeffs = _dwt_decompose(ts, wavelet_order, level)
     trend = _dwt_invert(zero_details(coeffs))
     return ts.with_samples(ts.samples - trend.samples)
-
-
-def detrend_margin(wavelet_order: int, level: int) -> int:
-    return boundary_margin(wavelet_order, level)
 
 
 def _segment_variances_poly(x: np.ndarray, scale: int, order: int) -> np.ndarray:
@@ -184,7 +169,8 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
     q = np.asarray(q_values, dtype=np.float64)
     if scales.size < 6:
         raise TooFewScales(f"need >= 6 scales, got {scales.size}")
-    if q.size < 1 or np.any(q == 0) or np.any(np.abs(q) > 10):
+    # written so that a NaN q fails it
+    if q.size < 1 or not np.all((q != 0) & (np.abs(q) <= 10)):
         raise InvalidParameter("q values must exclude 0 and satisfy |q| <= 10")
     n = profile_ts.n
     if scales[0] < 16 or scales[-1] > n // 4:
@@ -202,7 +188,7 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
 
         def _wavelet_residual(level: int) -> np.ndarray:
             resid = wavelet_detrend(profile_ts, detrend.order, level)
-            margin = detrend_margin(detrend.order, level)
+            margin = boundary_margin(detrend.order, level)
             return resid.samples[margin : n - margin]
 
         if detrend.level is None:

@@ -3,7 +3,6 @@ phase-locking interval detection."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,7 +13,7 @@ from .errors import (
     ScaleMismatch,
     ScaleOutOfRange,
 )
-from .signal_core import TimeSeries, _csv_rows
+from .signal_core import TimeSeries, _csv_rows, _json
 from .wavelet import (
     C_DELTA,
     PSI0_ZERO,
@@ -51,13 +50,8 @@ class PhaseSeries:
                          self.unwrapped, self.coi_valid)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "scale": self.scale,
-            "dt": self.dt,
-            "wrapped": self.wrapped.tolist(),
-            "unwrapped": self.unwrapped.tolist(),
-            "coi_valid": [int(v) for v in self.coi_valid],
-        })
+        return _json(scale=self.scale, dt=self.dt, wrapped=self.wrapped,
+                     unwrapped=self.unwrapped, coi_valid=self.coi_valid)
 
 
 @dataclass(frozen=True)
@@ -71,15 +65,10 @@ class PhaseDiffResult:
     min_duration: int | None = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "scale": self.scale,
-            "dt": self.dt,
-            "tolerance": self.tolerance,
-            "min_duration": self.min_duration,
-            "locking_intervals": [list(iv) for iv in self.locking_intervals],
-            "delta": self.delta.tolist(),
-            "coi_valid": [int(v) for v in self.coi_valid],
-        })
+        return _json(scale=self.scale, dt=self.dt, tolerance=self.tolerance,
+                     min_duration=self.min_duration,
+                     locking_intervals=self.locking_intervals, delta=self.delta,
+                     coi_valid=self.coi_valid)
 
 
 def phase_at_scale(ts: TimeSeries, scale: float,

@@ -1,12 +1,13 @@
-"""Time-series container, CSV ingestion, synthetic generators, filtering,
-profile construction and delay embedding."""
+"""Time-series container, CSV ingestion, synthetic generators, profile
+construction, and the one CSV and one JSON writer every result uses."""
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,26 +30,27 @@ def _csv_rows(*columns) -> str:
     return "\n".join([line % row for row in rows]) + "\n"
 
 
-@dataclass(frozen=True)
-class ChannelMeta:
-    """Optional experiment metadata carried alongside a series."""
+def _plain(value):
+    """``value`` as JSON-ready Python: arrays and tuples as lists, boolean
+    arrays as 0/1, and non-finite floats as None."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "b":
+            value = value.astype(np.int64)
+        elif value.dtype.kind == "f" and not np.isfinite(value).all():
+            value = np.where(np.isfinite(value), value, None)
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
-    discharge_voltage: float | None = None
-    magnetic_field: float | None = None
-    label: str = ""
 
-    def __post_init__(self):
-        if self.discharge_voltage is not None and not self.discharge_voltage > 0:
-            raise InvalidParameter("discharge_voltage must be > 0 when present")
-        if self.magnetic_field is not None and self.magnetic_field < 0:
-            raise InvalidParameter("magnetic_field must be >= 0 when present")
-
-    def to_dict(self) -> dict:
-        return {
-            "discharge_voltage": self.discharge_voltage,
-            "magnetic_field": self.magnetic_field,
-            "label": self.label,
-        }
+def _json(**fields) -> str:
+    """One strict JSON object of ``fields``, keys in the order given;
+    non-finite floats are written as null."""
+    return json.dumps({k: _plain(v) for k, v in fields.items()},
+                      allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class TimeSeries:
 
     samples: np.ndarray
     dt: float = 1.0
-    meta: ChannelMeta = field(default_factory=ChannelMeta)
 
     def __post_init__(self):
         x = np.ascontiguousarray(self.samples, dtype=np.float64)
@@ -82,31 +83,19 @@ class TimeSeries:
     def n(self) -> int:
         return self.samples.size
 
-    @property
-    def nyquist(self) -> float:
-        return 0.5 / self.dt
-
     def times(self) -> np.ndarray:
         return np.arange(self.n) * self.dt
 
     def with_samples(self, samples: np.ndarray) -> "TimeSeries":
-        return TimeSeries(samples, dt=self.dt, meta=self.meta)
+        return TimeSeries(samples, dt=self.dt)
 
     # serialization -------------------------------------------------------
 
     def to_csv(self) -> str:
         return _csv_rows(self.times(), self.samples)
 
-    def to_json(self) -> str:
-        obj = {
-            "dt": self.dt,
-            "meta": self.meta.to_dict(),
-            "samples": self.samples.tolist(),
-        }
-        return json.dumps(obj)
 
-
-def load_csv(source, dt: float | None = None, meta: ChannelMeta | None = None) -> TimeSeries:
+def load_csv(source, dt: float | None = None) -> TimeSeries:
     """Parse a one- or two-column CSV stream into a TimeSeries.
 
     Two-column input is interpreted as (time, value) and must be uniformly
@@ -147,8 +136,7 @@ def load_csv(source, dt: float | None = None, meta: ChannelMeta | None = None) -
     data = np.asarray(rows, dtype=np.float64)
 
     if ncols == 1:
-        return TimeSeries(data[:, 0], dt=dt if dt is not None else 1.0,
-                          meta=meta or ChannelMeta())
+        return TimeSeries(data[:, 0], dt=dt if dt is not None else 1.0)
 
     t, x = data[:, 0], data[:, 1]
     diffs = np.diff(t)
@@ -157,8 +145,7 @@ def load_csv(source, dt: float | None = None, meta: ChannelMeta | None = None) -
     dt_est = float(np.median(diffs))
     if np.max(np.abs(diffs - dt_est)) > 1e-6 * dt_est:
         raise NonUniformSampling("time stamps are not uniformly spaced")
-    return TimeSeries(x, dt=dt if dt is not None else dt_est,
-                      meta=meta or ChannelMeta())
+    return TimeSeries(x, dt=dt if dt is not None else dt_est)
 
 
 def profile(ts: TimeSeries) -> TimeSeries:
@@ -256,35 +243,3 @@ def gen_sine(n: int, dt: float, f: float, amp: float = 1.0,
         raise Aliased(f"f={f} is at or above Nyquist {0.5 / dt}")
     k = np.arange(n)
     return TimeSeries(amp * np.sin(2 * np.pi * f * k * dt + phase), dt=dt)
-
-
-def lowpass(ts: TimeSeries, cutoff: float) -> TimeSeries:
-    """Zero-phase brick-wall low-pass: FFT, zero bins above cutoff, inverse."""
-    if not 0.0 < cutoff < ts.nyquist:
-        raise InvalidParameter("cutoff must be in (0, Nyquist)")
-    spec = np.fft.rfft(ts.samples)
-    freqs = np.fft.rfftfreq(ts.n, ts.dt)
-    spec[freqs > cutoff] = 0.0
-    return ts.with_samples(np.fft.irfft(spec, n=ts.n))
-
-
-def delay_embed(ts: TimeSeries, lag: int, dim: int = 2) -> np.ndarray:
-    """Delay-coordinate embedding: rows (x_k, x_{k+lag}[, x_{k+2 lag}])."""
-    if dim not in (2, 3):
-        raise InvalidParameter("dim must be 2 or 3")
-    if lag < 1:
-        raise InvalidParameter("lag must be >= 1")
-    if ts.n <= lag * (dim - 1):
-        raise TooShort("series too short for this lag/dim")
-    m = ts.n - lag * (dim - 1)
-    cols = [ts.samples[i * lag : i * lag + m] for i in range(dim)]
-    return np.column_stack(cols)
-
-
-def default_embedding_lag(ts: TimeSeries) -> int:
-    """Quarter of the dominant period, from the periodogram peak."""
-    x = ts.samples - ts.samples.mean()
-    power = np.abs(np.fft.rfft(x)[1:]) ** 2
-    freqs = np.fft.rfftfreq(ts.n, ts.dt)[1:]
-    f0 = freqs[int(np.argmax(power))]
-    return max(1, int(round(0.25 / (f0 * ts.dt))))

@@ -3,13 +3,12 @@ Heisenberg turbulence-spectrum fitting."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientBand, InvalidParameter, TooShort, ZeroPower
-from .signal_core import TimeSeries, _csv_rows
+from .signal_core import TimeSeries, _csv_rows, _json
 
 
 @dataclass(frozen=True)
@@ -39,12 +38,8 @@ class PowerSpectrum:
         return _csv_rows(self.freqs, self.power)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "df": self.df,
-            "n_source": self.n_source,
-            "freqs": self.freqs.tolist(),
-            "power": self.power.tolist(),
-        })
+        return _json(df=self.df, n_source=self.n_source, freqs=self.freqs,
+                     power=self.power)
 
 
 @dataclass(frozen=True)
@@ -56,13 +51,8 @@ class PowerLawFit:
     stderr: float = float("nan")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "alpha": self.alpha,
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "band": list(self.band),
-            "stderr": self.stderr,
-        })
+        return _json(alpha=self.alpha, intercept=self.intercept, r2=self.r2,
+                     band=self.band, stderr=self.stderr)
 
 
 @dataclass(frozen=True)
@@ -79,15 +69,10 @@ class HeisenbergFit:
     k_d: float
     rss: float
     pinned: bool
-    rss_trace: tuple = field(default=(), repr=False)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "amplitude": self.amplitude,
-            "k_d": self.k_d,
-            "rss": self.rss,
-            "pinned": self.pinned,
-        })
+        return _json(amplitude=self.amplitude, k_d=self.k_d, rss=self.rss,
+                     pinned=self.pinned)
 
 
 def _mean_psd(x: np.ndarray, nperseg: int, step: int, hann: bool,
@@ -225,7 +210,6 @@ def fit_heisenberg(spec: PowerSpectrum, band: tuple[float, float]) -> Heisenberg
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = rss_at(c), rss_at(d)
-    trace = [min(fc, fd)]
     while (b - a) > 1e-6:
         if fc < fd:
             b, d, fd = d, c, fc
@@ -235,7 +219,6 @@ def fit_heisenberg(spec: PowerSpectrum, band: tuple[float, float]) -> Heisenberg
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = rss_at(d)
-        trace.append(min(trace[-1], min(fc, fd)))
     log_kd = c if fc < fd else d
     pinned = (log_kd - lo) < 1e-3 or (hi - log_kd) < 1e-3
     if pinned:
@@ -247,4 +230,4 @@ def fit_heisenberg(spec: PowerSpectrum, band: tuple[float, float]) -> Heisenberg
     log_c = float(np.mean(logp - base))
     rss = rss_at(log_kd)
     return HeisenbergFit(amplitude=float(np.exp(log_c)), k_d=float(np.exp(log_kd)),
-                         rss=rss, pinned=bool(pinned), rss_trace=tuple(trace))
+                         rss=rss, pinned=bool(pinned))

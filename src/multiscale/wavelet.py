@@ -49,8 +49,8 @@ class MorletParams:
     omega0: float = 6.0
 
     def __post_init__(self):
-        if self.omega0 < 5.0:
-            raise InvalidParameter("omega0 must be >= 5 for admissibility")
+        if not 5.0 <= self.omega0 < np.inf:
+            raise InvalidParameter("omega0 must be finite and >= 5 for admissibility")
 
     @property
     def fourier_factor(self) -> float:

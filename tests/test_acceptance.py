@@ -15,7 +15,7 @@ import pytest
 
 import multiscale as ms
 from multiscale.dwt import filter_length
-from multiscale.fractal import detrend_margin
+from multiscale import wavelet
 from multiscale.wavelet import MorletParams, ScaleGrid, morlet_spectrum
 from multiscale.phase import wrap_phase
 
@@ -268,20 +268,23 @@ def test_7_phase(capsys):
 def test_8_cli_determinism(capsys, tmp_path):
     t0 = time.monotonic()
 
-    def run(outdir, threads, *argv):
-        env = dict(os.environ)
-        env.pop("MULTISCALE_THREADS", None)
-        if threads is not None:
-            env["MULTISCALE_THREADS"] = str(threads)
+    cpus = os.sched_getaffinity(0)
+
+    def pin_one_cpu():
+        # the child then sees one CPU, so its CWT runs on one thread
+        os.sched_setaffinity(0, {min(cpus)})
+
+    def run(outdir, pin, *argv):
         proc = subprocess.run(
             [sys.executable, "-m", "multiscale.cli", *argv,
              "--out", str(outdir)],
-            env=env, capture_output=True, text=True)
+            preexec_fn=pin_one_cpu if pin else None,
+            capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return proc
 
     gen = tmp_path / "gen"
-    run(gen, None, "gen", "fgn", "--h", "0.8", "--n", "8192", "--seed", "42")
+    run(gen, False, "gen", "fgn", "--h", "0.8", "--n", "8192", "--seed", "42")
     src = str(gen / "fgn.csv")
     fixtures = [
         ("rs", ["rs", src]),
@@ -289,19 +292,25 @@ def test_8_cli_determinism(capsys, tmp_path):
         ("mfdfa", ["mfdfa", src]),
         ("cwt", ["cwt", src]),
         ("phase", ["phase", src, "--scale", "64dt"]),
+        # the automatic scale comes from a full, threaded CWT
+        ("phase-auto", ["phase", src]),
         ("gen2", ["gen", "fgn", "--h", "0.8", "--n", "8192",
                   "--seed", "42"]),
     ]
-    checks = []
+    # the unpinned cwt run splits its rows over this many threads
+    workers = wavelet._worker_count(ScaleGrid.default_for(8192, 1.0).J,
+                                    wavelet._pad_length(8192))
+    checks = [(f"cwt workers: {workers} unpinned vs 1 pinned on "
+               f"{len(cpus)} CPU(s)", workers > 1 or len(cpus) == 1)]
     for name, argv in fixtures:
         dirs = {key: tmp_path / f"{name}-{key}" for key in
-                ("run1", "run2", "t1")}
-        run(dirs["run1"], None, *argv)
-        run(dirs["run2"], None, *argv)
-        run(dirs["t1"], 1, *argv)
+                ("run1", "run2", "one_cpu")}
+        run(dirs["run1"], False, *argv)
+        run(dirs["run2"], False, *argv)
+        run(dirs["one_cpu"], True, *argv)
         stable = True
         files = sorted(p.name for p in dirs["run1"].iterdir())
-        for other in ("run2", "t1"):
+        for other in ("run2", "one_cpu"):
             if sorted(p.name for p in dirs[other].iterdir()) != files:
                 stable = False
                 break
@@ -309,7 +318,7 @@ def test_8_cli_determinism(capsys, tmp_path):
                 if (dirs["run1"] / f).read_bytes() != \
                         (dirs[other] / f).read_bytes():
                     stable = False
-        checks.append((f"{name}: byte-identical across runs and thread "
-                       "settings", stable))
+        checks.append((f"{name}: byte-identical across runs and with one "
+                       "CPU", stable))
     with capsys.disabled():
         report("8 CLI determinism", checks, 60.0, time.monotonic() - t0)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ from hypothesis import assume, given, strategies as st
 
 import multiscale as ms
 from multiscale import phase as phase_mod, wavelet
-from multiscale.cli import CliError, Params, _parse_int_list, _parse_scale, main
+from multiscale.cli import (CliError, Params, _parse_float_list,
+                           _parse_int_list, _parse_scale, main)
 
 
 def run(capsys, *argv):
@@ -120,6 +122,24 @@ class TestAnalyses:
         assert summary["locking_intervals"] >= 1
         assert (tmp_path / "u__v.phasediff.json").exists()
 
+    def test_mfdfa_single_q_writes_strict_json(self, tmp_path, capsys):
+        # one q leaves the singularity spectrum undefined (NaN), which
+        # strict JSON has no literal for
+        run(capsys, "gen", "white", "--n", "4096", "--out", str(tmp_path))
+        code, out, err = run(capsys, "mfdfa", str(tmp_path / "white.csv"),
+                             "--q", "2", "--format", "json",
+                             "--out", str(tmp_path))
+        assert code == 0, err
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        obj = json.loads((tmp_path / "white.mfdfa.json").read_text(),
+                         parse_constant=refuse)
+        assert obj["alpha_sing"] == [None]
+        assert obj["f_alpha"] == [None]
+        json.loads(out, parse_constant=refuse)
+
 
 @pytest.fixture(scope="module")
 def pair(tmp_path_factory):
@@ -225,9 +245,20 @@ class TestExitCodes:
         ["phase", "--scale", "abc"], ["cwt", "--s0", "0"],
         ["cwt", "--s0", "-1"], ["cwt", "--s0", "inf"], ["cwt", "--dj", "0"],
         ["cwt", "--dj", "abc"], ["rs", "--windows", "16,x"],
+        ["cwt", "--omega0", "nan"], ["cwt", "--omega0", "inf"],
+        ["mfdfa", "--q", "nan"],
     ])
     def test_bad_flag_value_exit_2(self, pair, tmp_path, capsys, argv):
         code, out, err = run(capsys, argv[0], pair[0], *argv[1:],
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", ["1", "0", "-5"])
+    def test_gen_short_n_exit_2(self, tmp_path, capsys, n):
+        code, out, err = run(capsys, "gen", "white", "--n", n,
                              "--out", str(tmp_path / "out"))
         assert code == 2
         assert err.count("\n") == 1
@@ -353,6 +384,16 @@ class TestParamsPrecedence:
         with pytest.raises(CliError):
             params.get(name, 0, int)
 
+    @pytest.mark.parametrize("raw, convert", [
+        ("nan", float), ("-inf", float), ("1e999", float),
+        ("1,nan", _parse_float_list), ("inf,2", _parse_float_list),
+        ("nandt", lambda raw: _parse_scale(raw, 1.0)),
+    ])
+    def test_non_finite_float_is_exit_2_error(self, raw, convert):
+        params = Params(argparse.Namespace(), {"sec.x": raw}, "sec")
+        with pytest.raises(CliError):
+            params.get("x", 0.0, convert)
+
 
 class TestConfig:
     def test_flags_and_config_equivalent(self, tmp_path, capsys):
@@ -415,16 +456,33 @@ class TestPipeline:
 
 class TestDeterminism:
     def test_thread_env_invariance(self, tmp_path, capsys, monkeypatch):
-        run(capsys, "gen", "fgn", "--h", "0.7", "--n", "4096", "--seed", "5",
+        """cwt and phase write the same bytes with one CPU as with four.
+        phase picks its scale from a full CWT, so both split scale rows
+        over threads when more than one CPU is available."""
+        run(capsys, "gen", "sines", "--f", "0.015625,0.004", "--n", "4096",
             "--out", str(tmp_path))
-        src = tmp_path / "fgn.csv"
-        d1, d2 = tmp_path / "one", tmp_path / "many"
-        monkeypatch.setenv("MULTISCALE_THREADS", "1")
-        run(capsys, "mfdfa", str(src), "--out", str(d1))
-        monkeypatch.delenv("MULTISCALE_THREADS")
-        run(capsys, "mfdfa", str(src), "--out", str(d2))
-        assert (d1 / "fgn.mfdfa.csv").read_bytes() == \
-            (d2 / "fgn.mfdfa.csv").read_bytes()
+        src = str(tmp_path / "sines.csv")
+        workers = []
+        count = wavelet._worker_count
+
+        def recorded_count(rows, length):
+            workers.append(count(rows, length))
+            return workers[-1]
+
+        monkeypatch.setattr(wavelet, "_worker_count", recorded_count)
+        for command in (["cwt", src], ["phase", src]):
+            written, most = [], []
+            for cpus in ({0}, {0, 1, 2, 3}):
+                monkeypatch.setattr(os, "sched_getaffinity",
+                                    lambda pid, cpus=cpus: cpus, raising=False)
+                workers.clear()
+                out = tmp_path / f"{command[0]}-{len(cpus)}"
+                code, _, err = run(capsys, *command, "--out", str(out))
+                assert code == 0, err
+                written.append({p.name: p.read_bytes() for p in out.iterdir()})
+                most.append(max(workers))
+            assert most == [1, 4]
+            assert written[0] == written[1]
 
 
 class TestImportCost:

@@ -5,8 +5,8 @@ import pytest
 
 import multiscale as ms
 from multiscale import errors, fractal
-from multiscale.fractal import (WaveletDetrend, _segment_variances_poly,
-                                detrend_margin)
+from multiscale.dwt import boundary_margin
+from multiscale.fractal import WaveletDetrend, _segment_variances_poly
 
 DYADIC = [2 ** k for k in range(4, 13)]
 Q6 = [-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]
@@ -93,7 +93,7 @@ class TestWaveletDetrend:
         n = 1024
         x = np.linspace(0.0, 5.0, n)
         res = ms.wavelet_detrend(ms.TimeSeries(x), 2, 3)
-        m = detrend_margin(2, 3)
+        m = boundary_margin(2, 3)
         assert np.max(np.abs(res.samples[m:n - m])) < 1e-8 * np.ptp(x)
 
     def test_zero_signal(self):
@@ -105,7 +105,7 @@ class TestWaveletDetrend:
         sine = ms.gen_sine(n, 1.0, 1 / 32).samples
         ramp = np.linspace(0.0, 10.0, n)
         res = ms.wavelet_detrend(ms.TimeSeries(sine + ramp), 4, 8)
-        m = detrend_margin(4, 8)
+        m = boundary_margin(4, 8)
         sl = slice(m, n - m)
         corr = np.corrcoef(res.samples[sl], sine[sl])[0, 1]
         assert corr > 0.99
@@ -198,14 +198,20 @@ class TestMFDFA:
 
     def test_wavelet_interior(self):
         assert WaveletDetrend(2).interior(8192, 512) == \
-            8192 - 2 * detrend_margin(2, 9)
+            8192 - 2 * boundary_margin(2, 9)
         assert WaveletDetrend(2, 3).interior(8192, 512) == \
-            8192 - 2 * detrend_margin(2, 3)
+            8192 - 2 * boundary_margin(2, 3)
 
     def test_q_zero_rejected(self):
         prof = ms.profile(ms.gen_white_noise(4096, 0))
         with pytest.raises(errors.InvalidParameter):
             ms.mfdfa(prof, DYADIC[:-3], [0.0, 1.0, 2.0], detrend=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_q_rejected(self, bad):
+        prof = ms.profile(ms.gen_white_noise(4096, 0))
+        with pytest.raises(errors.InvalidParameter):
+            ms.mfdfa(prof, DYADIC[:-3], [1.0, bad], detrend=1)
 
     def test_too_few_scales(self):
         prof = ms.profile(ms.gen_white_noise(4096, 0))

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import multiscale as ms
 from multiscale import errors
-from multiscale.signal_core import _csv_rows
+from multiscale.signal_core import _csv_rows, _json
 
 
 class TestLoadCsv:
@@ -128,65 +129,6 @@ class TestGenerators:
             ms.gen_sine(64, 0.25, 3.0)
 
 
-class TestLowpass:
-    def test_removes_high_frequency_sine(self):
-        ts = ms.gen_sine(1000, 1e-3, 10.0)  # 10 Hz sits on a bin
-        out = ms.lowpass(ts, 5.0)
-        assert np.sqrt(np.mean(out.samples ** 2)) < 1e-6
-
-    def test_passes_low_frequency_sine(self):
-        ts = ms.gen_sine(1000, 1e-3, 1.0)
-        out = ms.lowpass(ts, 5.0)
-        assert np.sqrt(np.mean((out.samples - ts.samples) ** 2)) < 1e-6
-
-    def test_constant_unchanged(self):
-        ts = ms.TimeSeries(np.full(64, 2.5), dt=0.1)
-        out = ms.lowpass(ts, 1.0)
-        assert np.allclose(out.samples, 2.5)
-
-    def test_idempotent(self):
-        ts = ms.gen_white_noise(512, 7)
-        once = ms.lowpass(ts, 0.1)
-        twice = ms.lowpass(once, 0.1)
-        scale = np.max(np.abs(once.samples))
-        assert np.max(np.abs(twice.samples - once.samples)) < 1e-12 * scale
-
-    def test_preserves_mean(self):
-        ts = ms.gen_white_noise(513, 8)
-        out = ms.lowpass(ts, 0.05)
-        assert out.samples.mean() == pytest.approx(ts.samples.mean(), abs=1e-12)
-
-    def test_bad_cutoff(self):
-        ts = ms.gen_white_noise(64, 0)
-        with pytest.raises(errors.InvalidParameter):
-            ms.lowpass(ts, 0.5)  # Nyquist at dt=1
-
-
-class TestDelayEmbed:
-    def test_hand_computed(self):
-        pts = ms.delay_embed(ms.TimeSeries([1.0, 2.0, 3.0, 4.0]), lag=1, dim=2)
-        assert np.allclose(pts, [[1, 2], [2, 3], [3, 4]])
-
-    def test_constant_series(self):
-        pts = ms.delay_embed(ms.TimeSeries(np.full(10, 1.0)), lag=2, dim=3)
-        assert np.allclose(pts, 1.0)
-
-    def test_sine_circle(self):
-        ts = ms.gen_sine(1024, 1.0, 1 / 64)
-        pts = ms.delay_embed(ts, lag=16, dim=2)  # quarter period
-        radius = np.hypot(pts[:, 0], pts[:, 1])
-        assert radius.std() / radius.mean() < 0.01
-
-    def test_too_short(self):
-        with pytest.raises(errors.TooShort):
-            ms.delay_embed(ms.TimeSeries([1.0, 2.0, 3.0]), lag=2, dim=3)
-
-    def test_default_lag_quarter_period(self):
-        ts = ms.gen_sine(1024, 1.0, 1 / 64)
-        from multiscale.signal_core import default_embedding_lag
-        assert default_embedding_lag(ts) == 16
-
-
 class TestCsvRows:
     @given(st.lists(st.tuples(st.integers(-2 ** 62, 2 ** 62), st.floats(),
                               st.booleans()), max_size=40))
@@ -206,29 +148,39 @@ class TestCsvRows:
         assert text.splitlines()[1] == "-0"
 
 
+def strict_loads(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestJson:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    max_size=40), st.lists(st.booleans(), max_size=40))
+    def test_finite_output_matches_hand_built_dict(self, xs, flags):
+        # reference: the dictionaries the result types used to build
+        x = np.array(xs, dtype=np.float64).reshape(-1, 1)
+        ref = json.dumps({"n": len(xs), "x": x.tolist(),
+                          "flags": [int(v) for v in flags],
+                          "band": [1.5, 2.5], "none": None, "ok": True})
+        assert _json(n=len(xs), x=x, flags=np.array(flags, dtype=bool),
+                     band=(1.5, 2.5), none=None, ok=True) == ref
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_non_finite_floats_become_null(self, xs):
+        out = strict_loads(_json(a=np.array(xs), b=xs[0], c=[xs[-1]],
+                                 d=((xs[0],),)))
+        expect = [v if np.isfinite(v) else None for v in xs]
+        assert out == {"a": expect, "b": expect[0], "c": [expect[-1]],
+                       "d": [[expect[0]]]}
+
+
 class TestSerialization:
     def test_csv_round_trip(self):
         ts = ms.gen_white_noise(128, 3)
         back = ms.load_csv(ts.to_csv())
         assert back.samples.tobytes() == ts.samples.tobytes()
         assert back.dt == pytest.approx(ts.dt)
-
-    def test_json_fields(self):
-        import json
-        ts = ms.TimeSeries([1.0, 2.0], dt=0.5,
-                           meta=ms.ChannelMeta(discharge_voltage=330.0,
-                                               magnetic_field=96.0,
-                                               label="probe"))
-        obj = json.loads(ts.to_json())
-        assert obj["dt"] == 0.5
-        assert obj["meta"]["discharge_voltage"] == 330.0
-        assert obj["samples"] == [1.0, 2.0]
-
-    def test_meta_validation(self):
-        with pytest.raises(errors.InvalidParameter):
-            ms.ChannelMeta(discharge_voltage=-5.0)
-        with pytest.raises(errors.InvalidParameter):
-            ms.ChannelMeta(magnetic_field=-1.0)
 
     def test_samples_immutable(self):
         ts = ms.TimeSeries([1.0, 2.0, 3.0])

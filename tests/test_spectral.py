@@ -198,17 +198,6 @@ class TestFitHeisenberg:
         assert fit.pinned
         assert fit.k_d == pytest.approx(freqs[-1], rel=1e-3)
 
-    def test_rss_trace_non_increasing(self):
-        freqs = np.logspace(0, 4, 512)
-        rng = np.random.default_rng(2)
-        power = heisenberg_model(freqs, 2.0, 50.0) * np.exp(
-            0.1 * rng.standard_normal(freqs.size))
-        spec = ms.PowerSpectrum(freqs, power, n_source=8192,
-                                df=freqs[1] - freqs[0])
-        fit = ms.fit_heisenberg(spec, (freqs[0], freqs[-1]))
-        trace = np.asarray(fit.rss_trace)
-        assert np.all(np.diff(trace) <= 0)
-
     def test_insufficient_band(self):
         freqs = np.logspace(0, 1, 10)
         spec = ms.PowerSpectrum(freqs, freqs ** -2.0, n_source=64,

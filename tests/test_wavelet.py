@@ -108,6 +108,11 @@ class TestCwtBasics:
         with pytest.raises(errors.InvalidParameter):
             MorletParams(omega0=4.0)
 
+    @pytest.mark.parametrize("omega0", [np.nan, np.inf])
+    def test_non_finite_omega0_rejected(self, omega0):
+        with pytest.raises(errors.InvalidParameter):
+            MorletParams(omega0=omega0)
+
 
 def full_spectrum_cwt(ts, grid, params, pad):
     """The transform as one full-length spectrum product and one ifft per
