@@ -5,6 +5,7 @@ plus a one-line JSON summary on stdout."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -22,22 +23,8 @@ from . import (
 )
 
 
-class CliError(Exception):
+class CliError(errors.MultiscaleError):
     """A bad command line, config file or flag value (exit 2)."""
-
-
-_ARG_ERRORS = (
-    CliError, errors.InvalidParameter, errors.Aliased, errors.BadOrder,
-    errors.TooFewScales, errors.ScaleOutOfRange, errors.GridTooCoarse,
-)
-_INPUT_ERRORS = (
-    errors.Malformed, errors.NonUniformSampling, errors.TooShort,
-    errors.LengthMismatch, errors.ScaleMismatch, OSError,
-)
-_NUMERIC_ERRORS = (
-    errors.DegenerateWindow, errors.NonPositiveVariance, errors.ZeroPower,
-    errors.InsufficientBand, errors.EmptyBand, errors.EmptyCOI,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,9 +237,11 @@ def cmd_mfdfa(params: Params, ts) -> tuple[dict, list[Artifact]]:
     detrend = params.get("detrend", 1, _parse_detrend)
     scales = _dyadic(16, ts.n // 4)
     if isinstance(detrend, fractal.WaveletDetrend):
-        # stop where the residual interior left by the boundary margins
-        # no longer holds 4 segments
-        scales = [s for s in scales if detrend.interior(ts.n, s) >= 4 * s]
+        # half-octave steps up to n/4 while the residual interior left by the
+        # boundary margins holds 4 segments; dyadic steps stop too early
+        steps = (int(16 * 2 ** (k / 2)) for k in itertools.count())
+        scales = [s for s in itertools.takewhile(lambda s: s <= ts.n // 4, steps)
+                  if detrend.interior(ts.n, s) >= 4 * s]
     scales = params.get("scales", scales, _parse_int_list)
     q = params.get("q", [-5, -3, -1, 1, 2, 3, 5], _parse_float_list)
     res = fractal.mfdfa(ts, scales, q, detrend=detrend)
@@ -443,12 +432,10 @@ def main(argv=None) -> int:
         for summary in summaries:
             print(signal_core._json(**summary))
         return 0
-    except _ARG_ERRORS as exc:
-        code, detail = 2, str(exc)
-    except _INPUT_ERRORS as exc:
+    except errors.MultiscaleError as exc:
+        code, detail = exc.exit_code, str(exc)
+    except OSError as exc:
         code, detail = 3, str(exc)
-    except _NUMERIC_ERRORS as exc:
-        code, detail = 4, str(exc)
     operation = argv[0] if argv else "cli"
     print(signal_core._json(code=code, operation=operation, detail=detail),
           file=sys.stderr)

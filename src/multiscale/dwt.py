@@ -59,10 +59,8 @@ _DB_FILTERS = {
 
 def filter_bank(order: int):
     """(dec_lo, dec_hi, rec_lo, rec_hi) for Daubechies order 1..10."""
-    if order not in _DB_FILTERS:
-        raise BadOrder("Daubechies order must be in 1..10")
+    length = filter_length(order)
     rec_lo = np.asarray(_DB_FILTERS[order], dtype=np.float64)
-    length = rec_lo.size
     rec_hi = ((-1.0) ** np.arange(length)) * rec_lo[::-1]
     return rec_lo[::-1], rec_hi[::-1], rec_lo, rec_hi
 
@@ -82,10 +80,6 @@ class DWTCoeffs:
     order: int
     lengths: tuple  # input length at each level, finest first
     dt: float = 1.0
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
 
 
 def _dwt1_sym(x: np.ndarray, dec_lo: np.ndarray, dec_hi: np.ndarray):

@@ -146,18 +146,12 @@ def locking_intervals(diff: PhaseDiffResult, tolerance: float = 0.5,
         return []  # no run can last min_duration samples
     rng = _running_range(np.unwrap(diff.delta), min_duration)
     ok = (rng <= tolerance) & diff.coi_valid
-    intervals = []
-    start = None
-    for i, flag in enumerate(ok):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            if i - start >= min_duration:
-                intervals.append((start, i))
-            start = None
-    if start is not None and ok.size - start >= min_duration:
-        intervals.append((start, ok.size))
-    return intervals
+    # a run starts where ok turns on and ends where it turns off; padding
+    # both ends with False pairs every start with an end
+    edges = np.flatnonzero(np.diff(ok, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    keep = ends - starts >= min_duration
+    return list(zip(starts[keep].tolist(), ends[keep].tolist()))
 
 
 def with_locking(diff: PhaseDiffResult, tolerance: float = 0.5,

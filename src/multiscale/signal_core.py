@@ -3,7 +3,6 @@ construction, and the one CSV and one JSON writer every result uses."""
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import warnings
@@ -103,14 +102,13 @@ def load_csv(source, dt: float | None = None) -> TimeSeries:
     from the argument (default 1.0). Comma and whitespace delimiters are
     both accepted.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    else:
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        text = source.decode("utf-8") if isinstance(source, bytes) else source
+    except UnicodeDecodeError as exc:
+        raise Malformed(f"byte {exc.start}: input is not UTF-8 text") from None
+    if not isinstance(text, str):
         raise Malformed("unsupported CSV source type")
 
     rows = []
@@ -139,6 +137,8 @@ def load_csv(source, dt: float | None = None) -> TimeSeries:
         return TimeSeries(data[:, 0], dt=dt if dt is not None else 1.0)
 
     t, x = data[:, 0], data[:, 1]
+    if not np.all(np.isfinite(t)):
+        raise Malformed("time stamps must all be finite")
     diffs = np.diff(t)
     if np.any(diffs <= 0):
         raise NonUniformSampling("time stamps must be strictly increasing")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,8 +68,9 @@ class ScaleGrid:
     J: int
 
     def __post_init__(self):
-        if self.s0 <= 0 or self.dj <= 0 or self.J < 1:
-            raise InvalidParameter("need s0 > 0, dj > 0, J >= 1")
+        # written so that a NaN s0 or dj fails it
+        if not (0 < self.s0 < np.inf and 0 < self.dj < np.inf and self.J >= 1):
+            raise InvalidParameter("need finite s0 > 0 and dj > 0, J >= 1")
 
     @property
     def scales(self) -> np.ndarray:
@@ -78,11 +79,9 @@ class ScaleGrid:
     @classmethod
     def default_for(cls, n: int, dt: float, s0: float | None = None,
                     dj: float = 0.125) -> "ScaleGrid":
-        s0 = 2.0 * dt if s0 is None else s0
-        if not (0 < s0 < np.inf and 0 < dj < np.inf):
-            raise InvalidParameter("need finite s0 > 0 and dj > 0")
-        j_max = int(np.floor(np.log2(n * dt / (4.0 * s0)) / dj)) + 1
-        return cls(s0=s0, dj=dj, J=max(j_max, 1))
+        grid = cls(s0=2.0 * dt if s0 is None else s0, dj=dj, J=1)
+        j_max = int(np.floor(np.log2(n * dt / (4.0 * grid.s0)) / dj)) + 1
+        return replace(grid, J=max(j_max, 1))
 
 
 @dataclass(frozen=True)
@@ -221,11 +220,16 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     if failed:
         raise failed[0]
 
-    k = np.arange(n, dtype=np.float64)
-    coi = np.minimum(k, n - 1 - k) * ts.dt / np.sqrt(2.0)
-    return Scalogram(coeffs=coeffs, grid=grid, dt=ts.dt, coi=coi, params=params,
-                     src_var=float(ts.samples.var()),
+    return Scalogram(coeffs=coeffs, grid=grid, dt=ts.dt, coi=_coi(n, ts.dt),
+                     params=params, src_var=float(ts.samples.var()),
                      src_lag1=lag1_autocorr(ts.samples))
+
+
+def _coi(n: int, dt: float) -> np.ndarray:
+    """Largest trustworthy Morlet scale at each of n times: the distance to
+    the nearer end of the record over sqrt(2) (Torrence & Compo 1998)."""
+    k = np.arange(n, dtype=np.float64)
+    return np.minimum(k, n - 1 - k) * dt / np.sqrt(2.0)
 
 
 def _coi_mask(sg: Scalogram) -> np.ndarray:
@@ -340,17 +344,14 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
     coeffs = np.frombuffer(data, dtype="<c16", count=j * n, offset=off + 8 * j)
     dj = np.log2(scales[1] / scales[0]) if j > 1 else 0.125
     grid = ScaleGrid(s0=float(scales[0]), dj=float(dj), J=j)
-    k = np.arange(n, dtype=np.float64)
-    coi = np.minimum(k, n - 1 - k) * dt / np.sqrt(2.0)
     return Scalogram(coeffs=coeffs.reshape(j, n).astype(np.complex128), grid=grid,
-                     dt=dt, coi=coi, params=MorletParams(omega0=omega0))
+                     dt=dt, coi=_coi(n, dt), params=MorletParams(omega0=omega0))
 
 
-def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask | None = None) -> str:
+def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask) -> str:
     """Long-format rows: scale,time,re,im,power,significant."""
     times = np.arange(sg.n) * sg.dt
-    sig = (mask.mask if mask is not None
-           else np.broadcast_to(np.zeros(sg.n, dtype=bool), sg.coeffs.shape))
     # one scale row at a time keeps the formatted text the only large buffer
     return "".join(_csv_rows(np.full(sg.n, s), times, c.real, c.imag, p, m)
-                    for s, c, p, m in zip(sg.scales, sg.coeffs, _row_power(sg), sig))
+                    for s, c, p, m in zip(sg.scales, sg.coeffs, _row_power(sg),
+                                          mask.mask))

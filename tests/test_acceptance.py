@@ -274,12 +274,18 @@ def test_8_cli_determinism(capsys, tmp_path):
         # the child then sees one CPU, so its CWT runs on one thread
         os.sched_setaffinity(0, {min(cpus)})
 
+    # the children import the package this test imported, however pytest
+    # put it on the path
+    src = os.path.dirname(os.path.dirname(ms.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run(outdir, pin, *argv):
         proc = subprocess.run(
             [sys.executable, "-m", "multiscale.cli", *argv,
              "--out", str(outdir)],
             preexec_fn=pin_one_cpu if pin else None,
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc
 

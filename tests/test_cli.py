@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import multiscale as ms
-from multiscale import phase as phase_mod, wavelet
+from multiscale import errors, fractal, phase as phase_mod, wavelet
 from multiscale.cli import (CliError, Params, _parse_float_list,
                            _parse_int_list, _parse_scale, main)
 
@@ -272,6 +272,19 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["code"] == 3
 
+    @pytest.mark.parametrize("content", [
+        b"1.0\n2.0\n\xff\xfe\n3.0\n",  # not UTF-8
+        b"0,1.0\n1,2.0\nnan,3.0\n3,4.0\n",  # non-finite time stamp
+    ], ids=["undecodable", "nan_time"])
+    def test_bad_input_bytes_exit_3(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "rs", str(bad), "--out", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 3
+
     def test_missing_input_exit_3(self, tmp_path, capsys):
         code, out, err = run(capsys, "rs", str(tmp_path / "ghost.csv"),
                              "--out", str(tmp_path))
@@ -314,9 +327,24 @@ class TestExitCodes:
         assert code == 0, err
         scales = json.loads((tmp_path / "fgn.mfdfa.json").read_text())["scales"]
         wd = ms.fractal.WaveletDetrend(2, 3 if detrend.endswith(",3") else None)
-        assert len(scales) >= 6 and scales[0] == 16
+        # a prefix of the half-octave grid floor(16 * 2**(k/2)) whose next
+        # step would not fit
+        steps = [int(16 * 2 ** (k / 2)) for k in range(len(scales) + 1)]
+        assert len(scales) >= 6 and scales == steps[:-1]
         assert all(wd.interior(8192, s) >= 4 * s for s in scales)
-        assert wd.interior(8192, 2 * scales[-1]) < 8 * scales[-1]
+        assert steps[-1] > 8192 // 4 or wd.interior(8192, steps[-1]) < 4 * steps[-1]
+
+    def test_wavelet_detrend_default_scales_fit_short_series(self, tmp_path,
+                                                              capsys):
+        # a dyadic grid leaves only 5 scales at n = 4096, one fewer than
+        # MFDFA needs
+        src = tmp_path / "fgn.csv"
+        src.write_text(ms.gen_fgn(4096, 0.8, 42).to_csv())
+        code, out, err = run(capsys, "mfdfa", str(src), "--detrend", "wavelet:2",
+                             "--format", "json", "--out", str(tmp_path))
+        assert code == 0, err
+        scales = json.loads((tmp_path / "fgn.mfdfa.json").read_text())["scales"]
+        assert len(scales) >= 6
 
     @pytest.mark.parametrize("detrend", ["wavelet:2", "wavelet:2,3"])
     def test_wavelet_detrend_impossible_scales_exit_2(self, fgn_8192, tmp_path,
@@ -326,6 +354,43 @@ class TestExitCodes:
         assert code == 2
         assert err.count("\n") == 1
         assert json.loads(err)["code"] == 2
+
+
+# The exit code of every package error, as the command line documents it.
+EXIT_CODES = {
+    "MultiscaleError": 2, "CliError": 2, "InvalidParameter": 2,
+    "Aliased": 2, "TooFewScales": 2, "GridTooCoarse": 2,
+    "ScaleOutOfRange": 2, "BadOrder": 2,
+    "InputError": 3, "Malformed": 3, "NonUniformSampling": 3, "TooShort": 3,
+    "LengthMismatch": 3, "ScaleMismatch": 3,
+    "NumericError": 4, "DegenerateWindow": 4, "NonPositiveVariance": 4,
+    "ZeroPower": 4, "InsufficientBand": 4, "EmptyBand": 4, "EmptyCOI": 4,
+}
+
+
+def package_errors():
+    found = [cls for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.MultiscaleError)]
+    return found + [CliError]
+
+
+class TestErrorExitCodes:
+    def test_every_error_is_pinned(self):
+        assert sorted(c.__name__ for c in package_errors()) == sorted(EXIT_CODES)
+
+    @pytest.mark.parametrize("cls", package_errors(), ids=lambda c: c.__name__)
+    def test_error_from_a_step_exits_with_its_code(self, pair, tmp_path,
+                                                   capsys, monkeypatch, cls):
+        def fail(*args, **kwargs):
+            raise cls("injected")
+
+        monkeypatch.setattr(fractal, "rescaled_range", fail)
+        code, out, err = run(capsys, "rs", pair[0], "--out", str(tmp_path))
+        assert code == EXIT_CODES[cls.__name__]
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"code": code, "operation": "rs",
+                                   "detail": "injected"}
 
 
 class TestIntListGrammar:

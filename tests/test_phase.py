@@ -136,7 +136,38 @@ class TestRunningRange:
         assert np.array_equal(_running_range(u, 9), np.full(4, 5.0))
 
 
+def loop_runs(ok, min_duration):
+    """Half-open runs of True at least min_duration long, one sample at a
+    time: the reference for the vectorised run detection."""
+    intervals = []
+    start = None
+    for i, flag in enumerate(ok):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if i - start >= min_duration:
+                intervals.append((start, i))
+            start = None
+    if start is not None and ok.size - start >= min_duration:
+        intervals.append((start, ok.size))
+    return intervals
+
+
 class TestLockingIntervals:
+    @given(st.lists(st.booleans(), min_size=2, max_size=300),
+           st.integers(2, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_match_loop(self, flags, min_duration):
+        # a zero difference is locked everywhere, so the runs are those of
+        # coi_valid alone
+        ok = np.array(flags)
+        d = ms.PhaseDiffResult(delta=np.zeros(ok.size), coi_valid=ok,
+                               scale=4.0)
+        ivals = ms.locking_intervals(d, tolerance=0.5,
+                                     min_duration=min_duration)
+        assert ivals == loop_runs(ok, min_duration)
+        assert all(type(v) is int for iv in ivals for v in iv)
+
     def test_constant_offset_fully_locked(self):
         pa, pb = TestPhaseDifference()._pair()
         d = ms.phase_difference(pb, pa)

@@ -104,6 +104,12 @@ class TestCwtBasics:
         with pytest.raises(errors.InvalidParameter):
             ScaleGrid.default_for(1024, 1.0, s0=s0, dj=dj)
 
+    @pytest.mark.parametrize("s0, dj", [(np.nan, 0.125), (np.inf, 0.125),
+                                        (2.0, np.nan), (2.0, np.inf)])
+    def test_grid_rejects_non_finite_s0_dj(self, s0, dj):
+        with pytest.raises(errors.InvalidParameter):
+            ScaleGrid(s0=s0, dj=dj, J=4)
+
     def test_admissibility_floor(self):
         with pytest.raises(errors.InvalidParameter):
             MorletParams(omega0=4.0)
