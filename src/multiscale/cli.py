@@ -160,7 +160,7 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
                                   phase=params.get("phase", 0.0, float))
     elif kind == "sines":
         freqs = params.get("f", None, _parse_float_list)
-        if freqs is None:
+        if not freqs:
             raise CliError("sines needs --f f1,f2,...")
         amps = params.get("amp", [1.0] * len(freqs), _parse_float_list)
         if len(amps) != len(freqs):
@@ -284,10 +284,7 @@ def cmd_phase(params: Params, ts_a) -> tuple[dict, list[Artifact]]:
     scale = params.get("scale", "auto", lambda raw: raw if raw == "auto"
                        else _parse_scale(raw, ts_a.dt))
     if scale == "auto":
-        tops = wavelet.dominant_scales(wavelet.cwt_morlet(ts_a, params=mp), k=1)
-        if tops.size == 0:
-            raise errors.EmptyBand("no global-spectrum peak to select a scale")
-        scale = float(tops[0])
+        scale = wavelet.dominant_scale(wavelet.cwt_morlet(ts_a, params=mp))
     pa = phase_mod.phase_at_scale(ts_a, scale, params=mp)
     # "files" holds its place ahead of the locking fields in the summary line
     summary = {"scale": scale, "files": None}
@@ -345,11 +342,14 @@ def _run(params: Params) -> dict:
             series = signal_core.profile(series)
         stem = Path(path).stem
     fields, artifacts = step(params, series)
+    picked = [((stem if a.stem is None else a.stem) + a.suffix, a)
+              for a in artifacts if fmt == "both" or a.fmt in (None, fmt)]
+    names = [name for name, _ in picked]
+    if len(set(names)) < len(names):
+        raise CliError(f"two outputs would share a name: {', '.join(names)}")
     out_dir = Path(params.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = [_write(out_dir, (stem if a.stem is None else a.stem) + a.suffix,
-                    a.make())
-             for a in artifacts if fmt == "both" or a.fmt in (None, fmt)]
+    files = [_write(out_dir, name, a.make()) for name, a in picked]
     summary = {"operation": params.section, **fields}
     if "file" in summary:
         summary["file"] = files[0]
@@ -434,8 +434,8 @@ def main(argv=None) -> int:
         return 0
     except errors.MultiscaleError as exc:
         code, detail = exc.exit_code, str(exc)
-    except OSError as exc:
-        code, detail = 3, str(exc)
+    except (OSError, MemoryError) as exc:
+        code, detail = 3, str(exc) or type(exc).__name__
     operation = argv[0] if argv else "cli"
     print(signal_core._json(code=code, operation=operation, detail=detail),
           file=sys.stderr)

@@ -128,31 +128,25 @@ def wavelet_detrend(ts: TimeSeries, wavelet_order: int, level: int) -> TimeSerie
     return ts.with_samples(ts.samples - trend.samples)
 
 
-def _segment_variances_poly(x: np.ndarray, scale: int, order: int) -> np.ndarray:
-    """Detrended variance per segment, forward and reverse segmentations."""
+def _segment_variances(x: np.ndarray, scale: int,
+                       order: int | None = None) -> np.ndarray:
+    """Mean squared residual per segment, forward and reverse segmentations,
+    after subtracting each segment's least-squares polynomial of degree
+    ``order`` when one is given."""
     n = x.size
     nseg = n // scale
     # orthonormal basis of the polynomials of degree <= order on the segment:
     # subtracting the projection onto it is the least-squares detrend, in
     # O(scale * order) memory instead of a scale x scale hat matrix
-    basis, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, scale), order + 1,
-                                      increasing=True))
+    basis = None if order is None else np.linalg.qr(
+        np.vander(np.linspace(-1.0, 1.0, scale), order + 1, increasing=True))[0]
     fwd = x[: nseg * scale].reshape(nseg, scale)
     rev = x[n - nseg * scale :].reshape(nseg, scale)
     out = np.empty(2 * nseg)
     for k, seg in enumerate((fwd, rev)):
-        res = seg - (seg @ basis) @ basis.T
+        res = seg if basis is None else seg - (seg @ basis) @ basis.T
         out[k * nseg : (k + 1) * nseg] = np.mean(res * res, axis=1)
     return out
-
-
-def _segment_variances_plain(x: np.ndarray, scale: int) -> np.ndarray:
-    """Mean squared value per segment (signal already detrended)."""
-    n = x.size
-    nseg = n // scale
-    fwd = x[: nseg * scale].reshape(nseg, scale)
-    rev = x[n - nseg * scale :].reshape(nseg, scale)
-    return np.concatenate([np.mean(fwd * fwd, axis=1), np.mean(rev * rev, axis=1)])
 
 
 def mfdfa(profile_ts: TimeSeries, scales, q_values,
@@ -186,24 +180,22 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
                     f"scale {s}: the residual interior left by the wavelet "
                     f"boundary margins holds fewer than {need} segment(s)")
 
-        def _wavelet_residual(level: int) -> np.ndarray:
-            resid = wavelet_detrend(profile_ts, detrend.order, level)
-            margin = boundary_margin(detrend.order, level)
-            return resid.samples[margin : n - margin]
+        residuals = {}
 
-        if detrend.level is None:
-            def var_fn(s):
-                return _segment_variances_plain(
-                    _wavelet_residual(detrend.level_for(s)), s)
-        else:
-            x = _wavelet_residual(detrend.level)
-            var_fn = lambda s: _segment_variances_plain(x, s)
+        def var_fn(s):
+            level = detrend.level_for(s)
+            if level not in residuals:
+                residuals.clear()  # scales ascend, so no level comes back
+                resid = wavelet_detrend(profile_ts, detrend.order, level)
+                margin = boundary_margin(detrend.order, level)
+                residuals[level] = resid.samples[margin : n - margin]
+            return _segment_variances(residuals[level], s)
     else:
         order = int(detrend)
         if order < 0:
             raise InvalidParameter("polynomial order must be >= 0")
         x = profile_ts.samples
-        var_fn = lambda s: _segment_variances_poly(x, s, order)
+        var_fn = lambda s: _segment_variances(x, s, order)
 
     Fq = np.empty((scales.size, q.size))
     for i, s in enumerate(scales):

@@ -100,7 +100,8 @@ def load_csv(source, dt: float | None = None) -> TimeSeries:
     Two-column input is interpreted as (time, value) and must be uniformly
     sampled (relative jitter below 1e-6); single-column input takes ``dt``
     from the argument (default 1.0). Comma and whitespace delimiters are
-    both accepted.
+    both accepted. Cells are read by numpy's text parser: decimal or
+    scientific literals, ``nan`` and ``inf``, in ASCII digits.
     """
     try:
         if hasattr(source, "read"):
@@ -111,27 +112,23 @@ def load_csv(source, dt: float | None = None) -> TimeSeries:
     if not isinstance(text, str):
         raise Malformed("unsupported CSV source type")
 
-    rows = []
-    ncols = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        if ncols is None:
-            ncols = len(parts)
-            if ncols not in (1, 2):
-                raise Malformed(f"line {lineno}: expected 1 or 2 columns, got {ncols}")
-        elif len(parts) != ncols:
-            raise Malformed(f"line {lineno}: inconsistent column count")
+    lines = text.replace(",", " ").splitlines()
+    with warnings.catch_warnings():
+        # input with no data row is TooShort below, not a warning on stderr
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise Malformed(f"line {lineno}: non-numeric cell") from None
-
-    if len(rows) < 2:
+            data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise Malformed(str(exc)) from None
+    rows, ncols = data.shape
+    # numpy also skips a line of commas alone, which is a row of empty cells
+    if rows < len(lines) and rows < sum(map(bool, map(str.strip,
+                                                      text.splitlines()))):
+        raise Malformed("a line holds commas but no number")
+    if ncols not in (1, 2):
+        raise Malformed(f"expected 1 or 2 columns, got {ncols}")
+    if rows < 2:
         raise TooShort("need at least 2 rows")
-    data = np.asarray(rows, dtype=np.float64)
 
     if ncols == 1:
         return TimeSeries(data[:, 0], dt=dt if dt is not None else 1.0)

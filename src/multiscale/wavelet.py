@@ -16,6 +16,7 @@ from .errors import (
     GridTooCoarse,
     InvalidParameter,
     Malformed,
+    ScaleOutOfRange,
     TooShort,
 )
 from .signal_core import TimeSeries, _csv_rows
@@ -40,6 +41,7 @@ _MAX_WORKERS = 4
 
 _MAGIC = b"MSCL1"
 _HEADER = struct.Struct("<IIdd")  # N, J, dt, omega0
+_J_MAX = 2 ** 32 - 1  # the largest J the header's uint32 field holds
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,10 @@ class ScaleGrid:
     J: int
 
     def __post_init__(self):
-        # written so that a NaN s0 or dj fails it
-        if not (0 < self.s0 < np.inf and 0 < self.dj < np.inf and self.J >= 1):
-            raise InvalidParameter("need finite s0 > 0 and dj > 0, J >= 1")
+        # written so that a NaN s0, dj or J fails it
+        if not (0 < self.s0 < np.inf and 0 < self.dj < np.inf
+                and 1 <= self.J <= _J_MAX):
+            raise InvalidParameter("need finite s0 > 0 and dj > 0, 1 <= J < 2**32")
 
     @property
     def scales(self) -> np.ndarray:
@@ -80,8 +83,9 @@ class ScaleGrid:
     def default_for(cls, n: int, dt: float, s0: float | None = None,
                     dj: float = 0.125) -> "ScaleGrid":
         grid = cls(s0=2.0 * dt if s0 is None else s0, dj=dj, J=1)
-        j_max = int(np.floor(np.log2(n * dt / (4.0 * grid.s0)) / dj)) + 1
-        return replace(grid, J=max(j_max, 1))
+        # a float overflows to inf without a warning; cls rejects _J_MAX + 1
+        j_max = np.floor(float(np.log2(n * dt / (4.0 * grid.s0))) / dj) + 1
+        return replace(grid, J=int(np.clip(j_max, 1, _J_MAX + 1)))
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,11 @@ class Scalogram:
     params: MorletParams = field(default_factory=MorletParams)
     src_var: float = float("nan")
     src_lag1: float = float("nan")
+    scales: np.ndarray | None = None  # None: grid.scales
 
-    @property
-    def scales(self) -> np.ndarray:
-        return self.grid.scales
+    def __post_init__(self):
+        if self.scales is None:
+            object.__setattr__(self, "scales", self.grid.scales)
 
     @property
     def n(self) -> int:
@@ -115,8 +120,6 @@ class Scalogram:
 @dataclass(frozen=True)
 class SignificanceMask:
     mask: np.ndarray  # bool, (scale x time)
-    background: float  # lag-1 autocorrelation used
-    level: float
 
 
 def morlet_spectrum(omega: np.ndarray, scale: float, omega0: float) -> np.ndarray:
@@ -166,6 +169,9 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     if grid is None:
         grid = ScaleGrid.default_for(n, ts.dt)
     scales = grid.scales
+    # below about 1.9 dt a Morlet scale's centre frequency is above Nyquist
+    if scales[0] < 2.0 * ts.dt * (1.0 - 1e-12):
+        raise ScaleOutOfRange("smallest scale is below 2*dt")
     if scales[-1] > n * ts.dt / 4.0 * (1.0 + 1e-12):
         raise GridTooCoarse("largest scale exceeds a quarter of the record")
     if pad not in ("zero", "periodic"):
@@ -222,7 +228,7 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
 
     return Scalogram(coeffs=coeffs, grid=grid, dt=ts.dt, coi=_coi(n, ts.dt),
                      params=params, src_var=float(ts.samples.var()),
-                     src_lag1=lag1_autocorr(ts.samples))
+                     src_lag1=lag1_autocorr(ts.samples), scales=scales)
 
 
 def _coi(n: int, dt: float) -> np.ndarray:
@@ -301,16 +307,18 @@ def significance_mask(sg: Scalogram, level: float = 0.95) -> SignificanceMask:
     mask = np.empty(sg.coeffs.shape, dtype=bool)
     for c, thr, row in zip(sg.coeffs, threshold, mask):
         np.greater(np.abs(c) ** 2, thr, out=row)
-    return SignificanceMask(mask=mask, background=rho, level=level)
+    return SignificanceMask(mask=mask)
 
 
-def dominant_scales(sg: Scalogram, k: int = 2, coi_only: bool = True) -> np.ndarray:
-    """Scales of the top-k local maxima of the global wavelet spectrum."""
-    gws = global_spectrum(sg, coi_only=coi_only)
-    peaks = [j for j in range(1, gws.size - 1)
-             if gws[j] > gws[j - 1] and gws[j] >= gws[j + 1]]
-    peaks.sort(key=lambda j: -gws[j])
-    return sg.scales[np.array(peaks[:k], dtype=int)] if peaks else np.array([])
+def dominant_scale(sg: Scalogram) -> float:
+    """Scale of the highest interior local maximum of the cone-of-influence
+    global spectrum, the smallest such scale on a tie."""
+    gws = global_spectrum(sg, coi_only=True)
+    mid = gws[1:-1]
+    peak = (mid > gws[:-2]) & (mid >= gws[2:])
+    if not peak.any():
+        raise EmptyBand("no global-spectrum peak to select a scale")
+    return float(sg.scales[1 + np.argmax(np.where(peak, mid, -np.inf))])
 
 
 # serialization -------------------------------------------------------------
@@ -345,7 +353,8 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
     dj = np.log2(scales[1] / scales[0]) if j > 1 else 0.125
     grid = ScaleGrid(s0=float(scales[0]), dj=float(dj), J=j)
     return Scalogram(coeffs=coeffs.reshape(j, n).astype(np.complex128), grid=grid,
-                     dt=dt, coi=_coi(n, dt), params=MorletParams(omega0=omega0))
+                     dt=dt, coi=_coi(n, dt), params=MorletParams(omega0=omega0),
+                     scales=scales.astype(np.float64))
 
 
 def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask) -> str:

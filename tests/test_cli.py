@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import multiscale as ms
-from multiscale import errors, fractal, phase as phase_mod, wavelet
+from multiscale import errors, fractal, phase as phase_mod, signal_core, wavelet
 from multiscale.cli import (CliError, Params, _parse_float_list,
                            _parse_int_list, _parse_scale, main)
 
@@ -247,6 +247,10 @@ class TestExitCodes:
         ["cwt", "--dj", "abc"], ["rs", "--windows", "16,x"],
         ["cwt", "--omega0", "nan"], ["cwt", "--omega0", "inf"],
         ["mfdfa", "--q", "nan"],
+        # a scale grid whose J does not fit the .mscl header, or that starts
+        # below 2 dt
+        ["cwt", "--dj", "1e-300"], ["cwt", "--dj", "1e-320"],
+        ["cwt", "--s0", "1e-300"], ["cwt", "--s0", "1.9"],
     ])
     def test_bad_flag_value_exit_2(self, pair, tmp_path, capsys, argv):
         code, out, err = run(capsys, argv[0], pair[0], *argv[1:],
@@ -261,6 +265,39 @@ class TestExitCodes:
         code, out, err = run(capsys, "gen", "white", "--n", n,
                              "--out", str(tmp_path / "out"))
         assert code == 2
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_sines_empty_f_exit_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gen", "sines", "--f", ",", "--n", "64",
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_allocation_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(signal_core, "gen_white_noise", fail)
+        code, out, err = run(capsys, "gen", "white", "--n", "20000000000",
+                             "--out", str(tmp_path / "out"))
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_two_outputs_with_one_name_exit_2(self, pair, tmp_path, capsys):
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "a.csv").write_text(Path(pair[1]).read_text())
+        code, out, err = run(capsys, "phase", pair[0], str(other / "a.csv"),
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert out == ""
         assert err.count("\n") == 1
         assert json.loads(err)["code"] == 2
         assert not (tmp_path / "out").exists()

@@ -6,7 +6,7 @@ import pytest
 import multiscale as ms
 from multiscale import errors, fractal
 from multiscale.dwt import boundary_margin
-from multiscale.fractal import WaveletDetrend, _segment_variances_poly
+from multiscale.fractal import WaveletDetrend, _segment_variances
 
 DYADIC = [2 ** k for k in range(4, 13)]
 Q6 = [-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]
@@ -162,7 +162,7 @@ class TestMFDFA:
         prof = ms.profile(ms.gen_fgn(4096, 0.8, 5))
         scales = DYADIC[:-3]
         got = ms.mfdfa(prof, scales, Q6, detrend=order).Fq
-        monkeypatch.setattr(fractal, "_segment_variances_poly",
+        monkeypatch.setattr(fractal, "_segment_variances",
                             hat_matrix_variances)
         ref = ms.mfdfa(prof, scales, Q6, detrend=order).Fq
         assert np.max(np.abs(got - ref) / ref) <= 1e-12
@@ -173,7 +173,7 @@ class TestMFDFA:
         x = ms.profile(ms.gen_fgn(n, 0.8, 1)).samples
         tracemalloc.start()
         try:
-            f2 = _segment_variances_poly(x, s, 1)
+            f2 = _segment_variances(x, s, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -37,9 +38,24 @@ class TestLoadCsv:
         with pytest.raises(errors.Malformed):
             ms.load_csv("0,1\n1,oops")
 
+    @pytest.mark.parametrize("text", [",,\n1\n2\n3", "1\n , \n2\n3",
+                                      "1\n2\n3\n\n,"])
+    def test_line_of_commas_alone_is_malformed(self, text):
+        # a row of empty cells, not a blank line
+        with pytest.raises(errors.Malformed):
+            ms.load_csv(text)
+        assert ms.load_csv(text.replace(",", "")).n == 3
+
     def test_too_short(self):
         with pytest.raises(errors.TooShort):
             ms.load_csv("1.0")
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n", "\r\n\r\n"])
+    def test_no_data_row_is_too_short_without_a_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.TooShort):
+                ms.load_csv(text)
 
 
 class TestProfile:
@@ -176,9 +192,13 @@ class TestJson:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self):
-        ts = ms.gen_white_noise(128, 3)
-        back = ms.load_csv(ts.to_csv())
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=200),
+           st.floats(1e-6, 1e6), st.booleans())
+    def test_csv_round_trip(self, xs, dt, two_columns):
+        ts = ms.TimeSeries(xs, dt=dt)
+        text = ts.to_csv() if two_columns else _csv_rows(ts.samples)
+        back = ms.load_csv(text, dt=None if two_columns else dt)
         assert back.samples.tobytes() == ts.samples.tobytes()
         assert back.dt == pytest.approx(ts.dt)
 

@@ -110,6 +110,22 @@ class TestCwtBasics:
         with pytest.raises(errors.InvalidParameter):
             ScaleGrid(s0=s0, dj=dj, J=4)
 
+    @pytest.mark.parametrize("J", [0, 2 ** 32, np.inf, np.nan])
+    def test_grid_rejects_j_outside_the_header_field(self, J):
+        with pytest.raises(errors.InvalidParameter):
+            ScaleGrid(s0=2.0, dj=0.125, J=J)
+
+    @pytest.mark.parametrize("dj", [1e-300, 1e-320])
+    def test_default_grid_rejects_j_outside_the_header_field(self, dj):
+        with pytest.raises(errors.InvalidParameter):
+            ScaleGrid.default_for(4096, 1.0, dj=dj)
+
+    @pytest.mark.parametrize("s0", [1e-300, 1.9])
+    def test_smallest_scale_below_two_dt_is_out_of_range(self, s0):
+        with pytest.raises(errors.ScaleOutOfRange):
+            ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(s0, 0.5, 4))
+        ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.5, 4))
+
     def test_admissibility_floor(self):
         with pytest.raises(errors.InvalidParameter):
             MorletParams(omega0=4.0)
@@ -326,6 +342,24 @@ class TestGlobalSpectrum:
         with pytest.raises(errors.EmptyCOI):
             ms.global_spectrum(huge, coi_only=True)
 
+    @pytest.mark.parametrize("amps, want", [([1, 3, 1, 3, 1], 1),
+                                            ([1, 2, 4, 3, 5, 5], 4),
+                                            ([3, 1, 2, 2], 2)])
+    def test_dominant_scale_is_highest_interior_peak(self, amps, want):
+        # a tie goes to the smaller scale; a plateau peaks at its first scale
+        grid = ScaleGrid(2.0, 0.5, len(amps))
+        sg = Scalogram(coeffs=np.repeat(np.array(amps, complex)[:, None], 64, 1),
+                       grid=grid, dt=1.0, coi=np.full(64, 1e9))
+        assert wavelet.dominant_scale(sg) == grid.scales[want]
+
+    @pytest.mark.parametrize("amps", [[1, 2, 3], [3, 2, 1], [1, 1, 1], [5, 9]])
+    def test_no_interior_peak_is_empty_band(self, amps):
+        sg = Scalogram(coeffs=np.repeat(np.array(amps, complex)[:, None], 64, 1),
+                       grid=ScaleGrid(2.0, 0.5, len(amps)), dt=1.0,
+                       coi=np.full(64, 1e9))
+        with pytest.raises(errors.EmptyBand):
+            wavelet.dominant_scale(sg)
+
 
 class TestScaleAveragedVariance:
     def test_modulated_amplitude_ratio(self):
@@ -405,9 +439,20 @@ class TestSerialization:
         assert blob[:5] == b"MSCL1"
         back = scalogram_from_bytes(blob)
         assert np.array_equal(back.coeffs, sg.coeffs)
-        assert np.allclose(back.scales, sg.scales, rtol=1e-12)
+        assert back.scales.tobytes() == sg.scales.tobytes()
         assert back.dt == sg.dt
         assert back.params.omega0 == sg.params.omega0
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=cwt_cases())
+    def test_decode_is_bit_exact_and_re_encodes_identically(self, case):
+        ts, grid, params, pad = case
+        sg = ms.cwt_morlet(ts, grid, params, pad=pad)
+        blob = scalogram_to_bytes(sg)
+        back = scalogram_from_bytes(blob)
+        assert back.coeffs.tobytes() == sg.coeffs.tobytes()
+        assert back.scales.tobytes() == sg.scales.tobytes()
+        assert scalogram_to_bytes(back) == blob
 
     def test_bad_magic(self):
         with pytest.raises(errors.Malformed):
