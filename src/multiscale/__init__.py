@@ -23,7 +23,6 @@ from .phase import (
     locking_intervals,
     phase_at_scale,
     phase_difference,
-    reconstruct_band,
     with_locking,
     wrap_phase,
 )
@@ -53,6 +52,7 @@ from .wavelet import (
     SignificanceMask,
     cwt_morlet,
     global_spectrum,
+    reconstruct_band,
     scale_avg_variance,
     scale_power_sum,
     significance_mask,

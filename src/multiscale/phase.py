@@ -1,5 +1,5 @@
-"""Instantaneous wavelet phase, band reconstruction, phase differences and
-phase-locking interval detection."""
+"""Instantaneous wavelet phase, phase differences and phase-locking interval
+detection."""
 
 from __future__ import annotations
 
@@ -14,15 +14,7 @@ from .errors import (
     ScaleOutOfRange,
 )
 from .signal_core import TimeSeries, _csv_rows, _json
-from .wavelet import (
-    C_DELTA,
-    PSI0_ZERO,
-    MorletParams,
-    ScaleGrid,
-    Scalogram,
-    _band_indices,
-    cwt_morlet,
-)
+from .wavelet import MorletParams, ScaleGrid, cwt_morlet
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,14 +76,6 @@ def phase_at_scale(ts: TimeSeries, scale: float,
     coi_valid = scale <= sg.coi
     return PhaseSeries(wrapped=wrapped, unwrapped=unwrapped, scale=float(scale),
                        coi_valid=coi_valid, dt=ts.dt)
-
-
-def reconstruct_band(sg: Scalogram, band: tuple[float, float]) -> TimeSeries:
-    """Inverse wavelet sum restricted to a scale band."""
-    sel = _band_indices(sg, band)
-    terms = sg.coeffs[sel].real / np.sqrt(sg.scales[sel])[:, None]
-    factor = sg.grid.dj * np.sqrt(sg.dt) / (C_DELTA * PSI0_ZERO)
-    return TimeSeries(factor * terms.sum(axis=0), dt=sg.dt)
 
 
 def phase_difference(a: PhaseSeries, b: PhaseSeries) -> PhaseDiffResult:

@@ -93,24 +93,21 @@ class Scalogram:
     """Complex CWT coefficients on a (scale x time) grid."""
 
     coeffs: np.ndarray
-    grid: ScaleGrid
+    scales: np.ndarray
+    dj: float  # log2 spacing of the scales
     dt: float
-    coi: np.ndarray  # per-time maximum trustworthy scale, seconds
     params: MorletParams = field(default_factory=MorletParams)
     src_var: float = float("nan")
     src_lag1: float = float("nan")
-    scales: np.ndarray | None = None  # None: grid.scales
-
-    def __post_init__(self):
-        if self.scales is None:
-            object.__setattr__(self, "scales", self.grid.scales)
 
     @property
     def n(self) -> int:
         return self.coeffs.shape[1]
 
-    def power(self) -> np.ndarray:
-        return np.abs(self.coeffs) ** 2
+    @property
+    def coi(self) -> np.ndarray:
+        """Per-time maximum trustworthy scale, seconds."""
+        return _coi(self.n, self.dt)
 
     def periods(self) -> np.ndarray:
         """Equivalent Fourier periods of the scale grid."""
@@ -226,9 +223,9 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     if failed:
         raise failed[0]
 
-    return Scalogram(coeffs=coeffs, grid=grid, dt=ts.dt, coi=_coi(n, ts.dt),
+    return Scalogram(coeffs=coeffs, scales=scales, dj=grid.dj, dt=ts.dt,
                      params=params, src_var=float(ts.samples.var()),
-                     src_lag1=lag1_autocorr(ts.samples), scales=scales)
+                     src_lag1=lag1_autocorr(ts.samples))
 
 
 def _coi(n: int, dt: float) -> np.ndarray:
@@ -278,8 +275,16 @@ def scale_avg_variance(sg: Scalogram, band: tuple[float, float]) -> TimeSeries:
     """Scale-averaged wavelet variance over a scale band, per time."""
     sel = _band_indices(sg, band)
     weighted = np.abs(sg.coeffs[sel]) ** 2 / sg.scales[sel, None]
-    out = (sg.grid.dj * sg.dt / C_DELTA) * weighted.sum(axis=0)
+    out = (sg.dj * sg.dt / C_DELTA) * weighted.sum(axis=0)
     return TimeSeries(out, dt=sg.dt)
+
+
+def reconstruct_band(sg: Scalogram, band: tuple[float, float]) -> TimeSeries:
+    """Inverse wavelet sum restricted to a scale band."""
+    sel = _band_indices(sg, band)
+    terms = sg.coeffs[sel].real / np.sqrt(sg.scales[sel])[:, None]
+    factor = sg.dj * np.sqrt(sg.dt) / (C_DELTA * PSI0_ZERO)
+    return TimeSeries(factor * terms.sum(axis=0), dt=sg.dt)
 
 
 def _chi2_ppf_2dof(level: float) -> float:
@@ -350,11 +355,10 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
         raise Malformed("scalogram record length does not match its header")
     scales = np.frombuffer(data, dtype="<f8", count=j, offset=off)
     coeffs = np.frombuffer(data, dtype="<c16", count=j * n, offset=off + 8 * j)
-    dj = np.log2(scales[1] / scales[0]) if j > 1 else 0.125
-    grid = ScaleGrid(s0=float(scales[0]), dj=float(dj), J=j)
-    return Scalogram(coeffs=coeffs.reshape(j, n).astype(np.complex128), grid=grid,
-                     dt=dt, coi=_coi(n, dt), params=MorletParams(omega0=omega0),
-                     scales=scales.astype(np.float64))
+    dj = float(np.log2(scales[1] / scales[0])) if j > 1 else 0.125
+    return Scalogram(coeffs=coeffs.reshape(j, n).astype(np.complex128),
+                     scales=scales.astype(np.float64), dj=dj, dt=dt,
+                     params=MorletParams(omega0=omega0))
 
 
 def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask) -> str:

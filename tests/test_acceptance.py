@@ -174,7 +174,7 @@ def test_5_cwt_correctness(capsys):
     sine = ms.cwt_morlet(ms.gen_sine(2048, 1.0, 1.0 / 64))
     gws = ms.global_spectrum(sine, coi_only=True)
     peak_period = float(sine.periods()[int(np.argmax(gws))])
-    peak_ok = abs(np.log2(peak_period / 64.0)) <= sine.grid.dj + 1e-12
+    peak_ok = abs(np.log2(peak_period / 64.0)) <= sine.dj + 1e-12
 
     two = ms.cwt_morlet(ms.TimeSeries(
         ms.gen_sine(8192, 1.0, 1 / 64).samples
