@@ -8,6 +8,7 @@ import argparse
 import itertools
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -143,6 +144,8 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
     n = params.get("n", 4096, int)
     if n < 2:
         raise CliError("n must be >= 2")
+    if seed < 0:
+        raise CliError("seed must be >= 0")
     if kind == "white":
         ts = signal_core.gen_white_noise(n, seed)
     elif kind == "fgn":
@@ -331,30 +334,35 @@ def _write(out_dir: Path, name: str, text: str | bytes) -> str:
 
 def _run(params: Params) -> dict:
     """Run the step ``params.section``: load its input, compute, write the
-    files its format selects, and return its summary line."""
+    files its format selects, and return its summary line, Python warnings
+    included."""
     step, flags = _COMMANDS[params.section]
     fmt = _format(params)
-    series, stem = None, ""
-    if "input" in flags:
-        path = params.get("input")
-        series = _load_input(path, params.get("dt", None, float))
-        if "--profile" in flags and params.get("profile", False, _parse_bool):
-            series = signal_core.profile(series)
-        stem = Path(path).stem
-    fields, artifacts = step(params, series)
-    picked = [((stem if a.stem is None else a.stem) + a.suffix, a)
-              for a in artifacts if fmt == "both" or a.fmt in (None, fmt)]
-    names = [name for name, _ in picked]
-    if len(set(names)) < len(names):
-        raise CliError(f"two outputs would share a name: {', '.join(names)}")
-    out_dir = Path(params.get("out", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = [_write(out_dir, name, a.make()) for name, a in picked]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        series, stem = None, ""
+        if "input" in flags:
+            path = params.get("input")
+            series = _load_input(path, params.get("dt", None, float))
+            if "--profile" in flags and params.get("profile", False, _parse_bool):
+                series = signal_core.profile(series)
+            stem = Path(path).stem
+        fields, artifacts = step(params, series)
+        picked = [((stem if a.stem is None else a.stem) + a.suffix, a)
+                  for a in artifacts if fmt == "both" or a.fmt in (None, fmt)]
+        names = [name for name, _ in picked]
+        if len(set(names)) < len(names):
+            raise CliError(f"two outputs would share a name: {', '.join(names)}")
+        out_dir = Path(params.get("out", "."))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        files = [_write(out_dir, name, a.make()) for name, a in picked]
     summary = {"operation": params.section, **fields}
     if "file" in summary:
         summary["file"] = files[0]
     else:
         summary["files"] = files
+    if caught:
+        summary["warnings"] = list(dict.fromkeys(str(w.message) for w in caught))
     return summary
 
 

@@ -68,10 +68,8 @@ def phase_at_scale(ts: TimeSeries, scale: float,
     """Instantaneous phase of the complex Morlet coefficients at one scale."""
     if not 2.0 * ts.dt <= scale <= ts.n * ts.dt / 4.0:
         raise ScaleOutOfRange("scale must lie in [2*dt, N*dt/4]")
-    grid = ScaleGrid(s0=scale, dj=0.125, J=1)
-    sg = cwt_morlet(ts, grid=grid, params=params)
-    row = sg.coeffs[0]
-    wrapped = np.angle(row)
+    sg = cwt_morlet(ts, grid=ScaleGrid(s0=scale, dj=0.125, J=1), params=params)
+    wrapped = np.angle(sg.coeffs[0])
     unwrapped = np.unwrap(wrapped)
     coi_valid = scale <= sg.coi
     return PhaseSeries(wrapped=wrapped, unwrapped=unwrapped, scale=float(scale),

@@ -1,8 +1,9 @@
-"""Continuous Morlet wavelet analysis: scalogram, cone of influence, global
-and time-summed spectra, scale-averaged variance and red-noise significance."""
+"""Morlet CWT and its Torrence-Compo reductions: cone of influence, global and
+time-summed spectra, scale averages, band reconstruction, red-noise tests."""
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -83,8 +84,12 @@ class ScaleGrid:
     def default_for(cls, n: int, dt: float, s0: float | None = None,
                     dj: float = 0.125) -> "ScaleGrid":
         grid = cls(s0=2.0 * dt if s0 is None else s0, dj=dj, J=1)
-        # a float overflows to inf without a warning; cls rejects _J_MAX + 1
-        j_max = np.floor(float(np.log2(n * dt / (4.0 * grid.s0))) / dj) + 1
+        ratio = n * dt / (4.0 * grid.s0)
+        if not np.isfinite(ratio):  # n dt or 4 s0 overflows
+            ratio = n / 4.0 * (dt / grid.s0)
+        # inf gives _J_MAX + 1, which cls rejects; an underflowed 0 gives J = 1
+        with np.errstate(divide="ignore"):
+            j_max = np.floor(float(np.log2(ratio)) / dj) + 1
         return replace(grid, J=int(np.clip(j_max, 1, _J_MAX + 1)))
 
 
@@ -106,8 +111,9 @@ class Scalogram:
 
     @property
     def coi(self) -> np.ndarray:
-        """Per-time maximum trustworthy scale, seconds."""
-        return _coi(self.n, self.dt)
+        """Largest trustworthy scale per time: edge distance / sqrt(2), seconds."""
+        k = np.arange(self.n, dtype=np.float64)
+        return np.minimum(k, self.n - 1 - k) * self.dt / np.sqrt(2.0)
 
     def periods(self) -> np.ndarray:
         """Equivalent Fourier periods of the scale grid."""
@@ -133,9 +139,15 @@ def _pad_length(n: int) -> int:
 def lag1_autocorr(x: np.ndarray) -> float:
     d = x - x.mean()
     denom = float(np.sum(d * d))
-    if denom == 0:
-        return 0.0
-    return float(np.sum(d[1:] * d[:-1]) / denom)
+    return float(np.sum(d[1:] * d[:-1]) / denom) if denom else 0.0
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory; inf where the platform does not tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no os.sysconf or name
+        return np.inf
 
 
 def _worker_count(rows: int, length: int) -> int:
@@ -165,14 +177,18 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
         raise TooShort("need at least 32 samples")
     if grid is None:
         grid = ScaleGrid.default_for(n, ts.dt)
-    scales = grid.scales
     # below about 1.9 dt a Morlet scale's centre frequency is above Nyquist
-    if scales[0] < 2.0 * ts.dt * (1.0 - 1e-12):
+    if grid.s0 < 2.0 * ts.dt * (1.0 - 1e-12):
         raise ScaleOutOfRange("smallest scale is below 2*dt")
-    if scales[-1] > n * ts.dt / 4.0 * (1.0 + 1e-12):
+    # in log2 space, before any array of J scales exists
+    if (math.log2(grid.s0) + grid.dj * (grid.J - 1)
+            > math.log2(n * ts.dt / 4.0) + math.log2(1.0 + 1e-12)):
         raise GridTooCoarse("largest scale exceeds a quarter of the record")
     if pad not in ("zero", "periodic"):
         raise InvalidParameter("pad must be 'zero' or 'periodic'")
+    if 16 * grid.J * n > _physical_memory():
+        raise MemoryError(f"{grid.J} x {n} coefficients exceed physical memory")
+    scales = grid.scales
 
     m = _pad_length(n) if pad == "zero" else n
     x = np.zeros(m)
@@ -228,17 +244,6 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
                      src_lag1=lag1_autocorr(ts.samples))
 
 
-def _coi(n: int, dt: float) -> np.ndarray:
-    """Largest trustworthy Morlet scale at each of n times: the distance to
-    the nearer end of the record over sqrt(2) (Torrence & Compo 1998)."""
-    k = np.arange(n, dtype=np.float64)
-    return np.minimum(k, n - 1 - k) * dt / np.sqrt(2.0)
-
-
-def _coi_mask(sg: Scalogram) -> np.ndarray:
-    return sg.scales[:, None] <= sg.coi[None, :]
-
-
 def _row_power(sg: Scalogram):
     """Wavelet power one scale row at a time, so that no (J, n) power array
     is held next to the coefficients."""
@@ -250,7 +255,7 @@ def global_spectrum(sg: Scalogram, coi_only: bool = False) -> np.ndarray:
     """Time-mean wavelet power per scale."""
     if not coi_only:
         return np.array([p.mean() for p in _row_power(sg)])
-    inside = _coi_mask(sg)
+    inside = sg.scales[:, None] <= sg.coi[None, :]
     counts = inside.sum(axis=1)
     if np.any(counts == 0):
         raise EmptyCOI("some scales have no cone-of-influence interior")
@@ -310,8 +315,8 @@ def significance_mask(sg: Scalogram, level: float = 0.95) -> SignificanceMask:
         1.0 + rho * rho - 2.0 * rho * np.cos(2.0 * np.pi * freq))
     threshold = sg.src_var * background * _chi2_ppf_2dof(level) / 2.0
     mask = np.empty(sg.coeffs.shape, dtype=bool)
-    for c, thr, row in zip(sg.coeffs, threshold, mask):
-        np.greater(np.abs(c) ** 2, thr, out=row)
+    for p, thr, row in zip(_row_power(sg), threshold, mask):
+        np.greater(p, thr, out=row)
     return SignificanceMask(mask=mask)
 
 

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +253,8 @@ class TestExitCodes:
         # below 2 dt
         ["cwt", "--dj", "1e-300"], ["cwt", "--dj", "1e-320"],
         ["cwt", "--s0", "1e-300"], ["cwt", "--s0", "1.9"],
+        # n dt and 4 s0 both overflow
+        ["cwt", "--dt", "1e308", "--s0", "1e308"],
     ])
     def test_bad_flag_value_exit_2(self, pair, tmp_path, capsys, argv):
         code, out, err = run(capsys, argv[0], pair[0], *argv[1:],
@@ -260,9 +264,37 @@ class TestExitCodes:
         assert json.loads(err)["code"] == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, want", [
+        # J = 900,000,001 fits the header but not physical memory
+        (["--dj", "1e-8"], 3),
+        # J fits the header; its largest scale fits no float
+        (["--jtot", "4294967295"], 2),
+    ])
+    def test_costly_grid_exits_before_any_array(self, pair, tmp_path, capsys,
+                                                monkeypatch, argv, want):
+        def refuse(self):
+            raise AssertionError("scales of the grid built")
+
+        monkeypatch.setattr(wavelet.ScaleGrid, "scales", property(refuse))
+        code, out, err = run(capsys, "cwt", pair[0], *argv,
+                             "--out", str(tmp_path / "out"))
+        assert code == want
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == want
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("n", ["1", "0", "-5"])
     def test_gen_short_n_exit_2(self, tmp_path, capsys, n):
         code, out, err = run(capsys, "gen", "white", "--n", n,
+                             "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_gen_negative_seed_exit_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gen", "white", "--seed=-1",
                              "--out", str(tmp_path / "out"))
         assert code == 2
         assert err.count("\n") == 1
@@ -391,6 +423,72 @@ class TestExitCodes:
         assert code == 2
         assert err.count("\n") == 1
         assert json.loads(err)["code"] == 2
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("argv", [
+        ["cwt", "A", "--omega0", "1e308"],
+        ["phase", "A", "--scale", "64", "--omega0", "1e308"],
+        ["heisenberg", "A", "--fmin", "1e-300", "--fmax", "1e300"],
+    ])
+    def test_numeric_warnings_go_into_the_summary(self, pair, tmp_path,
+                                                  capsys, argv):
+        argv = [pair[0] if a == "A" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--format", "json",
+                             "--out", str(tmp_path))
+        assert code == 0
+        assert err == ""
+        summary = json.loads(out)
+        assert list(summary)[-1] == "warnings"
+        warned = summary["warnings"]
+        assert warned and len(set(warned)) == len(warned)
+        assert all("encountered" in w for w in warned)
+
+    @pytest.mark.parametrize("argv", [["spectrum", "--dt", "1e308"],
+                                      ["cwt", "--s0", "1e308"],
+                                      ["cwt", "--dt", "1e-300", "--s0", "1e308"]])
+    def test_a_failed_run_prints_only_its_error_line(self, pair, tmp_path,
+                                                     capsys, argv):
+        code, out, err = run(capsys, argv[0], pair[0], *argv[1:],
+                             "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 2
+
+    def test_warnings_of_cwt_worker_threads_are_caught(self, pair, tmp_path,
+                                                       capsys, monkeypatch):
+        spectrum = wavelet.morlet_spectrum
+
+        def warning_spectrum(omega, scale, omega0):
+            warnings.warn(f"row on {threading.current_thread().name}")
+            return spectrum(omega, scale, omega0)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        monkeypatch.setattr(wavelet, "morlet_spectrum", warning_spectrum)
+        code, out, err = run(capsys, "cwt", pair[0], "--format", "json",
+                             "--out", str(tmp_path))
+        assert code == 0
+        assert err == ""
+        warned = json.loads(out)["warnings"]
+        assert len(warned) == 3
+        assert f"row on {threading.main_thread().name}" in warned
+
+    def test_each_pipeline_step_keeps_its_own_warnings(self, pair, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "pipe.cfg"
+        cfg.write_text(f"pipeline.input = {pair[0]}\n"
+                       "pipeline.analyses = rs, heisenberg\n"
+                       "heisenberg.fmin = 1e-300\nheisenberg.fmax = 1e300\n"
+                       f"out = {tmp_path}\n")
+        code, out, err = run(capsys, "pipeline", "--config", str(cfg))
+        assert code == 0
+        assert err == ""
+        rs_line, heisenberg_line = map(json.loads, out.splitlines())
+        assert "warnings" not in rs_line
+        assert heisenberg_line["warnings"]
 
 
 # The exit code of every package error, as the command line documents it.

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multiscale as ms
 from multiscale import errors, fractal
@@ -86,6 +87,32 @@ class TestRescaledRange:
     def test_too_few_scales(self):
         with pytest.raises(errors.TooFewScales):
             ms.rescaled_range(ms.gen_white_noise(512, 0), [8, 16, 32])
+
+
+class TestAffineInvariance:
+    """x -> a x + b with a > 0 leaves every Hurst estimate unchanged."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), hurst=st.floats(0.2, 0.9),
+           a=st.floats(1e-2, 1e2), b=st.floats(-1e2, 1e2))
+    def test_rs_hurst(self, seed, hurst, a, b):
+        ts = ms.gen_fgn(1024, hurst, seed)
+        sizes = [16, 32, 64, 128, 256]
+        base = ms.rescaled_range(ts, sizes).hurst
+        moved = ms.rescaled_range(ts.with_samples(a * ts.samples + b), sizes)
+        assert moved.hurst == pytest.approx(base, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), hurst=st.floats(0.2, 0.9),
+           a=st.floats(1e-2, 1e2), b=st.floats(-1e2, 1e2),
+           order=st.integers(0, 3))
+    def test_mfdfa_hq_of_the_profile(self, seed, hurst, a, b, order):
+        ts = ms.gen_fgn(2048, hurst, seed)
+        scales = [16, 32, 64, 128, 256, 512]
+        base = ms.mfdfa(ms.profile(ts), scales, Q6, detrend=order).hq
+        moved = ms.mfdfa(ms.profile(ts.with_samples(a * ts.samples + b)),
+                         scales, Q6, detrend=order).hq
+        assert np.max(np.abs(moved - base)) < 1e-8
 
 
 class TestWaveletDetrend:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multiscale as ms
 from multiscale import errors
@@ -44,6 +45,18 @@ class TestPeriodogram:
         spec = ms.periodogram(ts, segments=1)
         var = ts.samples.var()
         assert spec.df * spec.power.sum() == pytest.approx(var, rel=1e-9)
+
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @settings(max_examples=40, deadline=None)
+    @given(half=st.integers(16, 1024), seed=st.integers(0, 2 ** 32 - 1),
+           dt=st.floats(1e-3, 1e3), loc=st.floats(-1e3, 1e3))
+    def test_parseval_single_boxcar_segment(self, parity, half, seed, dt, loc):
+        # sum of power * df is the population variance, with or without a
+        # Nyquist bin
+        n = 2 * half + parity
+        x = loc + np.random.default_rng(seed).standard_normal(n)
+        spec = ms.periodogram(ms.TimeSeries(x, dt=dt), segments=1)
+        assert spec.df * spec.power.sum() == pytest.approx(x.var(), rel=1e-9)
 
     def test_too_short_segments(self):
         ts = ms.gen_white_noise(32, 0)

@@ -79,6 +79,21 @@ class TestCwtBasics:
         err = np.max(np.abs(np.roll(w0, k, axis=1) - wk))
         assert err < 1e-9 * np.max(np.abs(w0))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(32, 1024), shift=st.integers(-2048, 2048),
+           dt=st.floats(1e-3, 10.0), dj=st.floats(0.05, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_time_shift_covariance_periodic_any_grid(self, n, shift, dt, dj,
+                                                     seed, data):
+        j_max = ScaleGrid.default_for(n, dt, dj=dj).J
+        grid = ScaleGrid(2.0 * dt, dj, data.draw(st.integers(1, min(j_max, 16))))
+        x = np.random.default_rng(seed).standard_normal(n)
+        w0 = ms.cwt_morlet(ms.TimeSeries(x, dt=dt), grid, pad="periodic").coeffs
+        wk = ms.cwt_morlet(ms.TimeSeries(np.roll(x, shift), dt=dt), grid,
+                           pad="periodic").coeffs
+        err = np.max(np.abs(np.roll(w0, shift, axis=1) - wk))
+        assert err < 1e-9 * np.max(np.abs(w0))
+
     def test_coi_symmetric(self):
         sg = ms.cwt_morlet(ms.gen_white_noise(300, 0))
         assert np.allclose(sg.coi, sg.coi[::-1])
@@ -119,6 +134,48 @@ class TestCwtBasics:
     def test_default_grid_rejects_j_outside_the_header_field(self, dj):
         with pytest.raises(errors.InvalidParameter):
             ScaleGrid.default_for(4096, 1.0, dj=dj)
+
+    def test_default_grid_of_an_underflowed_ratio_is_one_scale(self):
+        # n dt / (4 s0) underflows to 0: no log2 warning, and cwt_morlet
+        # finds the one scale too coarse
+        grid = ScaleGrid.default_for(4096, 1e-300, s0=1e308)
+        assert grid.J == 1
+        with pytest.raises(errors.GridTooCoarse):
+            ms.cwt_morlet(ms.TimeSeries(np.ones(4096), dt=1e-300), grid)
+
+    def test_default_grid_when_n_dt_and_4_s0_overflow(self):
+        # the ratio n dt / (4 s0) is 64 although both products are inf
+        grid = ScaleGrid.default_for(256, 1e308, s0=1e308)
+        assert grid.J == ScaleGrid.default_for(256, 1.0, s0=1.0).J == 49
+
+    @pytest.mark.parametrize("grid, error", [
+        # J = 900,000,001: 59 TB of coefficients at n = 4096
+        (ScaleGrid.default_for(4096, 1.0, dj=1e-8), MemoryError),
+        # the largest scale is 2**(2**29) s0, which no float holds
+        (ScaleGrid(2.0, 0.125, 2 ** 32 - 1), errors.GridTooCoarse),
+        (ScaleGrid(1.0, 0.125, 2 ** 32 - 1), errors.ScaleOutOfRange),
+    ])
+    def test_grid_is_checked_before_its_scales_exist(self, monkeypatch, grid,
+                                                     error):
+        def refuse(self):
+            raise AssertionError("scales of the grid built")
+
+        monkeypatch.setattr(ScaleGrid, "scales", property(refuse))
+        with pytest.raises(error):
+            ms.cwt_morlet(ms.gen_white_noise(4096, 0), grid)
+
+    def test_coefficients_beyond_physical_memory_fail_first(self, monkeypatch):
+        # 10 scales x 256 samples x 16 bytes is 40,960 bytes
+        monkeypatch.setattr(wavelet, "_physical_memory", lambda: 40959)
+        with pytest.raises(MemoryError):
+            ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.5, 10))
+        monkeypatch.setattr(wavelet, "_physical_memory", lambda: 40960)
+        ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.5, 10))
+
+    def test_physical_memory_unknown_without_sysconf(self, monkeypatch):
+        assert 0 < wavelet._physical_memory() < np.inf
+        monkeypatch.delattr(os, "sysconf")
+        assert wavelet._physical_memory() == np.inf
 
     @pytest.mark.parametrize("s0", [1e-300, 1.9])
     def test_smallest_scale_below_two_dt_is_out_of_range(self, s0):
