@@ -54,7 +54,6 @@ from .wavelet import (
     global_spectrum,
     reconstruct_band,
     scale_avg_variance,
-    scale_power_sum,
     significance_mask,
 )
 

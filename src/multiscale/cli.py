@@ -10,7 +10,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -123,18 +123,25 @@ def _parse_scale(raw: str, dt: float) -> float:
 # analyses --------------------------------------------------------------------
 
 class Artifact(NamedTuple):
-    """One output file, ``stem + suffix``; ``make`` returns its text or bytes
-    and runs only when ``--format`` selects the file."""
+    """One output file, ``stem + suffix``. ``make`` runs only when
+    ``--format`` selects the file, and returns its content as an iterable of
+    chunks (text, bytes or byte views), each written as it comes, so that
+    no chunk need hold the whole file."""
 
     suffix: str
     fmt: str | None  # None: written under every format
-    make: Callable[[], str | bytes]
+    make: Callable[[], Iterable[str | bytes | memoryview]]
     stem: str | None = None  # None: the stem of the step's input file
 
 
+def _whole(to_text: Callable[[], str]) -> Callable[[], tuple[str]]:
+    """A ``make`` whose file is the one chunk ``to_text()`` returns."""
+    return lambda: (to_text(),)
+
+
 def _csv_json(suffix: str, to_csv, to_json, stem: str | None = None):
-    return [Artifact(suffix + ".csv", "csv", to_csv, stem),
-            Artifact(suffix + ".json", "json", to_json, stem)]
+    return [Artifact(suffix + ".csv", "csv", _whole(to_csv), stem),
+            Artifact(suffix + ".json", "json", _whole(to_json), stem)]
 
 
 def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
@@ -175,13 +182,13 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
         raise CliError(f"unknown generator kind: {kind}")
     name = params.get("output", kind + ".csv")
     return ({"kind": kind, "n": ts.n, "dt": ts.dt, "file": None},
-            [Artifact(name, None, ts.to_csv)])
+            [Artifact(name, None, _whole(ts.to_csv))])
 
 
 def cmd_profile(params: Params, ts) -> tuple[dict, list[Artifact]]:
     prof = signal_core.profile(ts)
     return ({"n": prof.n, "file": None},
-            [Artifact(".profile.csv", None, prof.to_csv)])
+            [Artifact(".profile.csv", None, _whole(prof.to_csv))])
 
 
 def cmd_spectrum(params: Params, ts) -> tuple[dict, list[Artifact]]:
@@ -273,13 +280,16 @@ def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
     gws_json = lambda: signal_core._json(
         scales=sg.scales, periods=sg.periods(), global_spectrum=gws,
         significance_level=level, n_significant=n_significant)
+    # one scale row per chunk, so the CSV text is never held whole
+    csv_rows = lambda: (wavelet.scalogram_to_csv(sg, mask, slice(k, k + 1))
+                        for k in range(len(sg.scales)))
     j = int(np.argmax(gws))
     return ({"peak_scale": float(sg.scales[j]),
              "peak_period": float(sg.periods()[j]),
              "n_significant": n_significant},
-            [Artifact(".cwt.mscl", None, lambda: wavelet.scalogram_to_bytes(sg)),
-             *_csv_json(".cwt", lambda: wavelet.scalogram_to_csv(sg, mask),
-                        gws_json)])
+            [Artifact(".cwt.mscl", None, lambda: wavelet.scalogram_chunks(sg)),
+             Artifact(".cwt.csv", "csv", csv_rows),
+             Artifact(".cwt.json", "json", _whole(gws_json))])
 
 
 def cmd_phase(params: Params, ts_a) -> tuple[dict, list[Artifact]]:
@@ -305,7 +315,7 @@ def cmd_phase(params: Params, ts_a) -> tuple[dict, list[Artifact]]:
         stem_b = Path(path_b).stem
         artifacts += _csv_json(".phase", pb.to_csv, pb.to_json, stem=stem_b)
         artifacts.append(Artifact("__" + stem_b + ".phasediff.json", None,
-                                  diff.to_json))
+                                  _whole(diff.to_json)))
         summary.update(locking_intervals=len(diff.locking_intervals),
                        tolerance=tol, min_duration=min_dur)
     return summary, artifacts
@@ -325,10 +335,15 @@ def _load_input(path: str, dt: float | None) -> signal_core.TimeSeries:
         return signal_core.load_csv(fh, dt=dt)
 
 
-def _write(out_dir: Path, name: str, text: str | bytes) -> str:
-    path = out_dir / name
-    with open(path, "wb" if isinstance(text, bytes) else "w") as fh:
-        fh.write(text)
+def _write(fh, chunk: str | bytes | memoryview) -> None:
+    """Append one chunk to the binary file ``fh``, text as UTF-8."""
+    fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+
+
+def _save(path: Path, chunks: Iterable[str | bytes | memoryview]) -> str:
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            _write(fh, chunk)
     return str(path)
 
 
@@ -355,7 +370,7 @@ def _run(params: Params) -> dict:
             raise CliError(f"two outputs would share a name: {', '.join(names)}")
         out_dir = Path(params.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
-        files = [_write(out_dir, name, a.make()) for name, a in picked]
+        files = [_save(out_dir / name, a.make()) for name, a in picked]
     summary = {"operation": params.section, **fields}
     if "file" in summary:
         summary["file"] = files[0]

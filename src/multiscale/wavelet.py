@@ -244,28 +244,23 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
                      src_lag1=lag1_autocorr(ts.samples))
 
 
-def _row_power(sg: Scalogram):
+def _row_power(coeffs: np.ndarray):
     """Wavelet power one scale row at a time, so that no (J, n) power array
     is held next to the coefficients."""
-    for c in sg.coeffs:
+    for c in coeffs:
         yield np.abs(c) ** 2
 
 
 def global_spectrum(sg: Scalogram, coi_only: bool = False) -> np.ndarray:
     """Time-mean wavelet power per scale."""
     if not coi_only:
-        return np.array([p.mean() for p in _row_power(sg)])
+        return np.array([p.mean() for p in _row_power(sg.coeffs)])
     inside = sg.scales[:, None] <= sg.coi[None, :]
     counts = inside.sum(axis=1)
     if np.any(counts == 0):
         raise EmptyCOI("some scales have no cone-of-influence interior")
     return np.array([np.where(ins, p, 0.0).sum()
-                     for ins, p in zip(inside, _row_power(sg))]) / counts
-
-
-def scale_power_sum(sg: Scalogram) -> np.ndarray:
-    """Wavelet power summed over all time, per scale."""
-    return np.array([p.sum() for p in _row_power(sg)])
+                     for ins, p in zip(inside, _row_power(sg.coeffs))]) / counts
 
 
 def _band_indices(sg: Scalogram, band: tuple[float, float]) -> np.ndarray:
@@ -315,7 +310,7 @@ def significance_mask(sg: Scalogram, level: float = 0.95) -> SignificanceMask:
         1.0 + rho * rho - 2.0 * rho * np.cos(2.0 * np.pi * freq))
     threshold = sg.src_var * background * _chi2_ppf_2dof(level) / 2.0
     mask = np.empty(sg.coeffs.shape, dtype=bool)
-    for p, thr, row in zip(_row_power(sg), threshold, mask):
+    for p, thr, row in zip(_row_power(sg.coeffs), threshold, mask):
         np.greater(p, thr, out=row)
     return SignificanceMask(mask=mask)
 
@@ -333,14 +328,21 @@ def dominant_scale(sg: Scalogram) -> float:
 
 # serialization -------------------------------------------------------------
 
+def scalogram_chunks(sg: Scalogram):
+    """The :func:`scalogram_to_bytes` record in three pieces: magic and
+    header, the scales, then the coefficients as a byte view (no copy for
+    C-contiguous complex128 on a little-endian host)."""
+    j, n = sg.coeffs.shape
+    yield _MAGIC + _HEADER.pack(n, j, sg.dt, sg.params.omega0)
+    yield sg.scales.astype("<f8").tobytes()
+    yield memoryview(np.ascontiguousarray(sg.coeffs, dtype="<c16")).cast("B")
+
+
 def scalogram_to_bytes(sg: Scalogram) -> bytes:
     """Binary layout: magic 'MSCL1', uint32 N, uint32 J, float64 dt, float64
     omega0, J float64 scales, then row-major (re, im) float64 pairs,
     little-endian throughout."""
-    j, n = sg.coeffs.shape
-    return (_MAGIC + _HEADER.pack(n, j, sg.dt, sg.params.omega0)
-            + sg.scales.astype("<f8").tobytes()
-            + sg.coeffs.astype("<c16", copy=False).tobytes())
+    return b"".join(scalogram_chunks(sg))
 
 
 def scalogram_from_bytes(data: bytes) -> Scalogram:
@@ -366,10 +368,13 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
                      params=MorletParams(omega0=omega0))
 
 
-def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask) -> str:
-    """Long-format rows: scale,time,re,im,power,significant."""
+def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask,
+                     rows: slice = slice(None)) -> str:
+    """Long-format lines scale,time,re,im,power,significant of the scale
+    rows ``rows`` (all by default), so that a writer can take one row at a
+    time."""
     times = np.arange(sg.n) * sg.dt
-    # one scale row at a time keeps the formatted text the only large buffer
-    return "".join(_csv_rows(np.full(sg.n, s), times, c.real, c.imag, p, m)
-                    for s, c, p, m in zip(sg.scales, sg.coeffs, _row_power(sg),
-                                          mask.mask))
+    coeffs = sg.coeffs[rows]
+    return "".join(_csv_rows(times, c.real, c.imag, p, m, prefix="%.17g," % s)
+                   for s, c, p, m in zip(sg.scales[rows], coeffs,
+                                         _row_power(coeffs), mask.mask[rows]))

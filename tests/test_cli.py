@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -203,6 +204,26 @@ class TestFileSet:
         code, *_ = run(capsys, "phase", *pair, "--scale", "16dt",
                        "--format", "json", "--out", str(tmp_path))
         assert code == 0
+
+
+class TestStreamedFiles:
+    def test_cwt_holds_no_whole_file(self, pair, tmp_path, capsys):
+        n = 2048
+        coeff_bytes = 16 * wavelet.ScaleGrid.default_for(n, 1.0).J * n
+        # the coefficients, a row of text and the FFT buffers fit; one more
+        # copy of the .mscl record or the whole CSV text does not
+        bound = 3 * coeff_bytes + 2 ** 20
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "cwt", pair[0], "--format", "both",
+                                 "--out", str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert (tmp_path / "a.cwt.mscl").stat().st_size > coeff_bytes
+        assert (tmp_path / "a.cwt.csv").stat().st_size > bound
+        assert peak < bound
 
 
 class TestValidateFirst:

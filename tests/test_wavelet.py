@@ -9,10 +9,25 @@ from hypothesis import given, settings, strategies as st
 import multiscale as ms
 from multiscale import errors, wavelet
 from multiscale.wavelet import (MorletParams, ScaleGrid, Scalogram,
-                                _chi2_ppf_2dof, _pad_length, morlet_spectrum,
-                                scalogram_from_bytes, scalogram_to_bytes)
+                                SignificanceMask, _chi2_ppf_2dof, _pad_length,
+                                morlet_spectrum, scalogram_chunks,
+                                scalogram_from_bytes, scalogram_to_bytes,
+                                scalogram_to_csv)
 
 _BLOB = scalogram_to_bytes(ms.cwt_morlet(ms.gen_white_noise(64, 1)))
+
+
+def csv_per_line(sg, mask):
+    """The scalogram CSV as it was formatted before each row's scale became a
+    prefix: every line formats all six cells."""
+    times = (np.arange(sg.n) * sg.dt).tolist()
+    power = np.abs(sg.coeffs) ** 2
+    lines = []
+    for s, c, p, m in zip(sg.scales.tolist(), sg.coeffs, power, mask.mask):
+        for row in zip(times, c.real.tolist(), c.imag.tolist(), p.tolist(),
+                       m.tolist()):
+            lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % (s, *row))
+    return "".join(lines)
 
 
 def brute_force_cwt(x, dt, scales, omega0=6.0):
@@ -379,16 +394,9 @@ class TestGlobalSpectrum:
 
     def test_row_by_row_power_matches_full_power(self):
         sg = ms.cwt_morlet(ms.gen_fgn(1000, 0.8, 3))
-        power = np.abs(sg.coeffs) ** 2
-        for got, want in ((ms.global_spectrum(sg), power.mean(axis=1)),
-                          (ms.wavelet.scale_power_sum(sg), power.sum(axis=1))):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_scale_power_sum_consistent(self):
-        sg = ms.cwt_morlet(ms.gen_white_noise(1024, 3))
-        total = ms.scale_power_sum(sg)
-        gws = ms.global_spectrum(sg, coi_only=False)
-        assert np.allclose(total, sg.n * gws)
+        got = ms.global_spectrum(sg)
+        want = (np.abs(sg.coeffs) ** 2).mean(axis=1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_empty_coi_unreachable_grid(self):
         base = ms.cwt_morlet(ms.gen_white_noise(64, 0))
@@ -509,6 +517,35 @@ class TestSerialization:
         assert back.coeffs.tobytes() == sg.coeffs.tobytes()
         assert back.scales.tobytes() == sg.scales.tobytes()
         assert scalogram_to_bytes(back) == blob
+
+    def test_chunks_join_to_the_record_without_copying_coefficients(self):
+        sg = ms.cwt_morlet(ms.gen_white_noise(100, 2), ScaleGrid(2.0, 0.5, 5))
+        head, scales, body = scalogram_chunks(sg)
+        assert head + scales + bytes(body) == scalogram_to_bytes(sg)
+        assert len(body) == sg.coeffs.nbytes
+        if sys.byteorder == "little":
+            assert np.shares_memory(np.frombuffer(body, np.uint8), sg.coeffs)
+
+    def test_non_contiguous_coefficients_encode_like_a_copy(self):
+        sg = ms.cwt_morlet(ms.gen_white_noise(100, 2), ScaleGrid(2.0, 0.5, 6))
+        strided = Scalogram(coeffs=sg.coeffs[::2, ::2], scales=sg.scales[::2],
+                            dj=1.0, dt=sg.dt)
+        copied = Scalogram(coeffs=sg.coeffs[::2, ::2].copy(),
+                           scales=sg.scales[::2].copy(), dj=1.0, dt=sg.dt)
+        assert scalogram_to_bytes(strided) == scalogram_to_bytes(copied)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=cwt_cases(), seed=st.integers(0, 2 ** 32 - 1),
+           level=st.floats(0.0, 1.0))
+    def test_csv_matches_per_line_formatting(self, case, seed, level):
+        ts, grid, params, pad = case
+        sg = ms.cwt_morlet(ts, grid, params, pad=pad)
+        mask = SignificanceMask(
+            np.random.default_rng(seed).random(sg.coeffs.shape) < level)
+        text = scalogram_to_csv(sg, mask)
+        assert text == csv_per_line(sg, mask)
+        assert "".join(scalogram_to_csv(sg, mask, slice(j, j + 1))
+                       for j in range(grid.J)) == text
 
     def test_bad_magic(self):
         with pytest.raises(errors.Malformed):
