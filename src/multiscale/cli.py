@@ -280,15 +280,13 @@ def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
     gws_json = lambda: signal_core._json(
         scales=sg.scales, periods=sg.periods(), global_spectrum=gws,
         significance_level=level, n_significant=n_significant)
-    # one scale row per chunk, so the CSV text is never held whole
-    csv_rows = lambda: (wavelet.scalogram_to_csv(sg, mask, slice(k, k + 1))
-                        for k in range(len(sg.scales)))
     j = int(np.argmax(gws))
     return ({"peak_scale": float(sg.scales[j]),
              "peak_period": float(sg.periods()[j]),
              "n_significant": n_significant},
             [Artifact(".cwt.mscl", None, lambda: wavelet.scalogram_chunks(sg)),
-             Artifact(".cwt.csv", "csv", csv_rows),
+             Artifact(".cwt.csv", "csv",
+                      lambda: wavelet.scalogram_csv_chunks(sg, mask)),
              Artifact(".cwt.json", "json", _whole(gws_json))])
 
 
@@ -342,8 +340,14 @@ def _write(fh, chunk: str | bytes | memoryview) -> None:
 
 def _save(path: Path, chunks: Iterable[str | bytes | memoryview]) -> str:
     with open(path, "wb") as fh:
-        for chunk in chunks:
-            _write(fh, chunk)
+        try:
+            for chunk in chunks:
+                _write(fh, chunk)
+        finally:
+            # a generator left early releases what it holds (the CSV worker
+            # processes) now, not when the traceback lets it go
+            if hasattr(chunks, "close"):
+                chunks.close()
     return str(path)
 
 

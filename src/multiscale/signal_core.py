@@ -19,13 +19,12 @@ from .errors import (
 )
 
 
-def _csv_rows(*columns, prefix: str = "") -> str:
+def _csv_rows(*columns) -> str:
     """One comma-separated line per row of equal-length columns, each line
-    starting with ``prefix`` (text without %) and ending in a newline:
-    integer and boolean columns as %d, float columns as %.17g (enough
-    digits to round-trip a float64)."""
+    ending in a newline: integer and boolean columns as %d, float columns
+    as %.17g (enough digits to round-trip a float64)."""
     cols = [np.asarray(c) for c in columns]
-    line = prefix + ",".join(
+    line = ",".join(
         "%d" if c.dtype.kind in "iub" else "%.17g" for c in cols)
     rows = zip(*(c.tolist() for c in cols))
     return "\n".join([line % row for row in rows]) + "\n"

@@ -3,10 +3,12 @@ time-summed spectra, scale averages, band reconstruction, red-noise tests."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
 import threading
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from .errors import (
     ScaleOutOfRange,
     TooShort,
 )
-from .signal_core import TimeSeries, _csv_rows
+from .signal_core import TimeSeries
 
 # reconstruction constant for omega0 = 6; other omega0 values keep relative
 # scale-average/reconstruction shapes but lose absolute calibration
@@ -33,12 +35,20 @@ PSI0_ZERO = np.pi ** (-0.25)
 # as one at 512-2048 points, about as long at 4096 and 1.4-1.5x less at 8192.
 # No benchmark workload transforms fewer than 16384 points.
 _THREADED_MIN_LENGTH = 4096
-# Most threads per transform. Each worker holds its own buffers: at n = 2**16
-# (131072 points, 105 scales) the transform added 118/125/138/164/203 MB of
-# peak RSS with 1/2/4/8/16 workers (same script), so large hosts, and CPU
-# counts that ignore cgroup quotas, cost at most ~14 MB over two workers.
-# Speed-ups beyond 2 CPUs are unmeasured.
+# Most threads per transform, and most processes per scalogram CSV. Each
+# thread holds its own buffers: at n = 2**16 (131072 points, 105 scales) the
+# transform added 118/125/138/164/203 MB of peak RSS with 1/2/4/8/16 workers
+# (same script), so large hosts, and CPU counts that ignore cgroup quotas,
+# cost at most ~14 MB over two workers. Speed-ups beyond 2 CPUs are
+# unmeasured.
 _MAX_WORKERS = 4
+# Fewest scalogram CSV lines (scales x times) that are split over processes.
+# scripts/csv_workers.py on a 2-core host, fresh process, median of 9: two
+# processes took 1.8x as long as one at 4224 lines (12 -> 22 ms), 1.1x at
+# 10496 (29 -> 33 ms), and 1.35x less at 25088 (72 -> 53 ms), 1.6x less at
+# 133120 and 663552 (the n = 8192 CSV, 1.77 -> 1.12 s). Importing
+# multiprocessing and forking cost about 10 ms.
+_CSV_SPLIT_MIN_LINES = 2 ** 14
 
 _MAGIC = b"MSCL1"
 _HEADER = struct.Struct("<IIdd")  # N, J, dt, omega0
@@ -150,17 +160,29 @@ def _physical_memory() -> float:
         return np.inf
 
 
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _worker_count(rows: int, length: int) -> int:
     """Threads for a transform of ``rows`` scales at padded ``length``: one
     per available CPU, at most ``_MAX_WORKERS`` and ``rows``, and one below
     ``_THREADED_MIN_LENGTH``."""
     if length < _THREADED_MIN_LENGTH:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_WORKERS, rows))
+    return max(1, min(_cpu_count(), _MAX_WORKERS, rows))
+
+
+def _csv_worker_count(rows: int, n: int) -> int:
+    """Processes that format the CSV of ``rows`` scales by ``n`` times: one
+    per available CPU, at most ``_MAX_WORKERS`` and ``rows``, and one below
+    ``_CSV_SPLIT_MIN_LINES`` lines or where processes cannot be forked."""
+    if rows * n < _CSV_SPLIT_MIN_LINES or not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_cpu_count(), _MAX_WORKERS, rows))
 
 
 def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
@@ -368,13 +390,115 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
                      params=MorletParams(omega0=omega0))
 
 
+@functools.lru_cache(maxsize=1)
+def _csv_line_tails(n: int, dt_hex: str) -> tuple[str, ...]:
+    """Each CSV line after its scale cell, time already formatted:
+    ``,time,%.17g,%.17g,%.17g,%d\n`` for re, im, power and the flag. The
+    last file's tails are kept, so that a writer that takes one row at a
+    time formats each time once per file. ``dt`` comes as ``float.hex`` so
+    that 0.0 and -0.0 are two keys."""
+    times = (np.arange(n) * float.fromhex(dt_hex)).tolist()
+    return tuple([",%.17g,%%.17g,%%.17g,%%.17g,%%d\n" % t for t in times])
+
+
 def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask,
                      rows: slice = slice(None)) -> str:
     """Long-format lines scale,time,re,im,power,significant of the scale
     rows ``rows`` (all by default), so that a writer can take one row at a
     time."""
-    times = np.arange(sg.n) * sg.dt
+    tails = _csv_line_tails(sg.n, float(sg.dt).hex())
     coeffs = sg.coeffs[rows]
-    return "".join(_csv_rows(times, c.real, c.imag, p, m, prefix="%.17g," % s)
-                   for s, c, p, m in zip(sg.scales[rows], coeffs,
-                                         _row_power(coeffs), mask.mask[rows]))
+    out = []
+    for s, c, p, m in zip(sg.scales[rows], coeffs, _row_power(coeffs),
+                          mask.mask[rows]):
+        # one template and one % per row; %d prints the 0.0/1.0 flags as 0/1
+        scale = "%.17g" % s
+        values = np.column_stack((c.real, c.imag, p, m)).ravel().tolist()
+        out.append((scale + scale.join(tails)) % tuple(values))
+    return "".join(out)
+
+
+def scalogram_csv_chunks(sg: Scalogram, mask: SignificanceMask):
+    """:func:`scalogram_to_csv` one scale row per chunk, in scale order.
+
+    From ``_CSV_SPLIT_MIN_LINES`` lines on, w processes format the rows
+    (``_csv_worker_count``): forked worker i formats rows k with k % w == i,
+    the calling process the rows with k % w == 0. A worker formats its next
+    row only once the caller has read the last one, so at most w rows are in
+    flight and the text is never held whole. A Python warning raised in a
+    worker is raised again here, in row order, as its row is yielded; a
+    worker's exception is raised here, and a worker that dies raises
+    OSError. The workers are stopped when the generator ends, fails or is
+    closed.
+    """
+    j = len(sg.scales)
+    w = _csv_worker_count(j, sg.n)
+    conns, workers = [], []
+    try:
+        if w > 1:
+            import multiprocessing  # ~12 ms that only a CSV this large pays
+
+            # forked, the workers share the coefficients and the mask
+            # copy-on-write: nothing is pickled and nothing imported again
+            fork = multiprocessing.get_context("fork")
+            _csv_line_tails(sg.n, float(sg.dt).hex())  # the workers inherit them
+            for i in range(1, w):
+                conn, child_end = fork.Pipe(duplex=False)
+                conns.append(conn)
+                workers.append(fork.Process(
+                    target=_csv_worker, daemon=True,
+                    args=(sg, mask, range(i, j, w), child_end)))
+                with warnings.catch_warnings():
+                    # numpy's idle OpenBLAS threads make Python 3.12+ warn
+                    # at fork; a worker calls no BLAS routine
+                    warnings.filterwarnings(
+                        "ignore", "This process .* is multi-threaded",
+                        DeprecationWarning)
+                    workers[-1].start()
+                child_end.close()  # so that a worker's death is an EOF here
+        for k in range(j):
+            if k % w == 0:
+                yield scalogram_to_csv(sg, mask, slice(k, k + 1))
+                continue
+            try:
+                ok, value, caught = conns[k % w - 1].recv()
+            except EOFError:
+                raise OSError(f"the process formatting CSV row {k} ended") from None
+            for message, filename, lineno in caught:
+                warnings.warn_explicit(message, type(message), filename, lineno)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for conn in conns:
+            conn.close()
+        for worker in workers:
+            if worker.pid is not None:  # started
+                worker.terminate()  # it may be formatting a row nobody reads
+                worker.join()
+
+
+def _csv_worker(sg: Scalogram, mask: SignificanceMask, rows: range,
+                conn) -> None:
+    """Send (True, text, warnings) for each row of ``rows`` in turn, or
+    (False, exception, warnings) for the first that raises, then stop.
+    Each warning goes as (message, filename, lineno). The worker leaves
+    Ctrl-C to its parent and writes nothing to stderr: a reply that cannot
+    be sent ends it, which the parent sees as the pipe's end."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        for k in rows:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    reply = True, scalogram_to_csv(sg, mask, slice(k, k + 1))
+                except Exception as exc:
+                    reply = False, exc
+            conn.send((*reply, [(w.message, w.filename, w.lineno)
+                                for w in caught]))
+            if not reply[0]:
+                return
+    except Exception:  # an unpicklable reply, or the parent stopped reading
+        os._exit(1)

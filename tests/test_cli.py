@@ -1,6 +1,8 @@
 import argparse
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -13,7 +15,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import multiscale as ms
-from multiscale import errors, fractal, phase as phase_mod, signal_core, wavelet
+from multiscale import (cli, errors, fractal, phase as phase_mod, signal_core,
+                        wavelet)
 from multiscale.cli import (CliError, Params, _parse_float_list,
                            _parse_int_list, _parse_scale, main)
 
@@ -497,6 +500,39 @@ class TestWarnings:
         assert len(warned) == 3
         assert f"row on {threading.main_thread().name}" in warned
 
+    def test_warnings_of_csv_worker_processes_are_caught(self, pair, tmp_path,
+                                                         capfd, monkeypatch):
+        to_csv = wavelet.scalogram_to_csv
+        count = wavelet._csv_worker_count
+        used = []
+
+        def warning_to_csv(sg, mask, rows=slice(None)):
+            warnings.warn(f"row {rows.start}")
+            return to_csv(sg, mask, rows)
+
+        def recorded_count(rows, n):
+            used.append(count(rows, n))
+            return used[-1]
+
+        monkeypatch.setattr(wavelet, "scalogram_to_csv", warning_to_csv)
+        monkeypatch.setattr(wavelet, "_csv_worker_count", recorded_count)
+        monkeypatch.setattr(wavelet, "_CSV_SPLIT_MIN_LINES", 0)
+        summaries = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: cpus, raising=False)
+            out_dir = tmp_path / str(len(cpus))
+            code = main(["cwt", pair[0], "--format", "csv", "--out",
+                         str(out_dir)])
+            out, err = capfd.readouterr()  # the workers' stderr included
+            assert code == 0
+            assert err == ""
+            summaries.append(json.loads(out.replace(str(out_dir), "OUT")))
+        assert used == [1, 3]
+        assert summaries[0] == summaries[1]
+        j = wavelet.ScaleGrid.default_for(2048, 1.0).J
+        assert summaries[1]["warnings"] == [f"row {k}" for k in range(j)]
+
     def test_each_pipeline_step_keeps_its_own_warnings(self, pair, tmp_path,
                                                        capsys):
         cfg = tmp_path / "pipe.cfg"
@@ -510,6 +546,88 @@ class TestWarnings:
         rs_line, heisenberg_line = map(json.loads, out.splitlines())
         assert "warnings" not in rs_line
         assert heisenberg_line["warnings"]
+
+
+def worker_dies():
+    os._exit(1)
+
+
+def worker_raises():
+    raise MemoryError("no room for a row")
+
+
+def worker_gets_ctrl_c():
+    # a terminal's Ctrl-C reaches every process of the foreground group
+    os.kill(os.getpid(), signal.SIGINT)
+
+
+class TestCsvWorkerFailures:
+    """cwt with its CSV rows split over three processes stops every worker
+    and exits with the one error line, whatever fails."""
+
+    @pytest.fixture(autouse=True)
+    def split(self, monkeypatch):
+        monkeypatch.setattr(wavelet, "_CSV_SPLIT_MIN_LINES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+
+    def cwt(self, pair, tmp_path):
+        return main(["cwt", pair[0], "--format", "csv", "--out", str(tmp_path)])
+
+    @staticmethod
+    def in_workers(monkeypatch, action):
+        """Run ``action`` before each row a worker process formats."""
+        parent, to_csv = os.getpid(), wavelet.scalogram_to_csv
+
+        def formatter(sg, mask, rows=slice(None)):
+            if os.getpid() != parent:
+                action()
+            return to_csv(sg, mask, rows)
+
+        monkeypatch.setattr(wavelet, "scalogram_to_csv", formatter)
+
+    @pytest.mark.parametrize("fail", [worker_dies, worker_raises],
+                             ids=["dies", "raises"])
+    def test_a_failing_worker_exits_3(self, pair, tmp_path, capfd,
+                                      monkeypatch, fail):
+        self.in_workers(monkeypatch, fail)
+        code = self.cwt(pair, tmp_path)
+        out, err = capfd.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["code"] == 3
+        assert multiprocessing.active_children() == []
+
+    def test_workers_leave_ctrl_c_to_the_parent(self, pair, tmp_path, capfd,
+                                                monkeypatch):
+        self.in_workers(monkeypatch, worker_gets_ctrl_c)
+        assert self.cwt(pair, tmp_path) == 0
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt])
+    def test_a_failed_write_stops_the_workers(self, pair, tmp_path, capfd,
+                                              monkeypatch, exc):
+        write = cli._write
+
+        def failing_after_one_row(fh, chunk):
+            if isinstance(chunk, str) and fh.tell() > 0:  # the CSV's 2nd row
+                raise exc
+            write(fh, chunk)
+
+        monkeypatch.setattr(cli, "_write", failing_after_one_row)
+        if isinstance(exc, OSError):
+            assert self.cwt(pair, tmp_path) == 3
+            out, err = capfd.readouterr()
+            assert json.loads(err) == {"code": 3, "operation": "cwt",
+                                       "detail": "disk full"}
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                self.cwt(pair, tmp_path)
+            out, err = capfd.readouterr()
+            assert err == ""
+        assert out == ""
+        assert multiprocessing.active_children() == []
 
 
 # The exit code of every package error, as the command line documents it.
@@ -677,33 +795,42 @@ class TestPipeline:
 
 class TestDeterminism:
     def test_thread_env_invariance(self, tmp_path, capsys, monkeypatch):
-        """cwt and phase write the same bytes with one CPU as with four.
-        phase picks its scale from a full CWT, so both split scale rows
-        over threads when more than one CPU is available."""
+        """cwt and phase write the same bytes and summary with one CPU as
+        with four. phase picks its scale from a full CWT, so both split
+        scale rows over threads when more than one CPU is available; cwt
+        also splits its CSV rows (73 x 4096 lines) over processes."""
         run(capsys, "gen", "sines", "--f", "0.015625,0.004", "--n", "4096",
             "--out", str(tmp_path))
         src = str(tmp_path / "sines.csv")
-        workers = []
-        count = wavelet._worker_count
+        counts = {"_worker_count": [], "_csv_worker_count": []}
 
-        def recorded_count(rows, length):
-            workers.append(count(rows, length))
-            return workers[-1]
+        def recorded(name):
+            count = getattr(wavelet, name)
 
-        monkeypatch.setattr(wavelet, "_worker_count", recorded_count)
-        for command in (["cwt", src], ["phase", src]):
-            written, most = [], []
+            def recorded_count(rows, length):
+                counts[name].append(count(rows, length))
+                return counts[name][-1]
+            return recorded_count
+
+        for name in counts:
+            monkeypatch.setattr(wavelet, name, recorded(name))
+        for command, csv_workers in ((["cwt", src], [1, 4]),
+                                     (["phase", src], [None, None])):
+            written, stdout, most = [], [], []
             for cpus in ({0}, {0, 1, 2, 3}):
                 monkeypatch.setattr(os, "sched_getaffinity",
                                     lambda pid, cpus=cpus: cpus, raising=False)
-                workers.clear()
+                for recorded_counts in counts.values():
+                    recorded_counts.clear()
                 out = tmp_path / f"{command[0]}-{len(cpus)}"
-                code, _, err = run(capsys, *command, "--out", str(out))
+                code, printed, err = run(capsys, *command, "--out", str(out))
                 assert code == 0, err
                 written.append({p.name: p.read_bytes() for p in out.iterdir()})
-                most.append(max(workers))
-            assert most == [1, 4]
+                stdout.append(printed.replace(str(out), "OUT"))
+                most.append([max(c, default=None) for c in counts.values()])
+            assert most == [[1, csv_workers[0]], [4, csv_workers[1]]]
             assert written[0] == written[1]
+            assert stdout[0] == stdout[1]
 
 
 class TestImportCost:
@@ -727,3 +854,26 @@ class TestImportCost:
         # the CWT splits its rows over plain threads; concurrent.futures
         # would add ~10 ms to every CLI call
         assert self.cli_import_loads("concurrent") == "[]"
+
+    @pytest.mark.parametrize("n, fmt, loaded", [
+        (2048, "json", []),  # 65 x 2048 CSV lines, not written
+        (256, "both", []),   # 41 x 256 lines, below the split
+        (2048, "both", ["multiprocessing"]),
+    ])
+    def test_only_a_large_csv_loads_multiprocessing(self, tmp_path, n, fmt,
+                                                    loaded):
+        src = tmp_path / "a.csv"
+        src.write_text(ms.gen_fgn(n, 0.7, 1).to_csv())
+        j = wavelet.ScaleGrid.default_for(n, 1.0).J
+        assert (j * n >= wavelet._CSV_SPLIT_MIN_LINES) == (n == 2048)
+        code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+                "os.sched_getaffinity = lambda pid: {0, 1}; "
+                "from multiscale.cli import main; "
+                "assert main(sys.argv[2:]) == 0; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} "
+                "& {'multiprocessing', 'concurrent'}))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(Path(ms.__file__).parents[1]),
+             "cwt", str(src), "--format", fmt, "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.splitlines()[-1] == str(loaded)

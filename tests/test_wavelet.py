@@ -11,8 +11,8 @@ from multiscale import errors, wavelet
 from multiscale.wavelet import (MorletParams, ScaleGrid, Scalogram,
                                 SignificanceMask, _chi2_ppf_2dof, _pad_length,
                                 morlet_spectrum, scalogram_chunks,
-                                scalogram_from_bytes, scalogram_to_bytes,
-                                scalogram_to_csv)
+                                scalogram_csv_chunks, scalogram_from_bytes,
+                                scalogram_to_bytes, scalogram_to_csv)
 
 _BLOB = scalogram_to_bytes(ms.cwt_morlet(ms.gen_white_noise(64, 1)))
 
@@ -544,8 +544,14 @@ class TestSerialization:
             np.random.default_rng(seed).random(sg.coeffs.shape) < level)
         text = scalogram_to_csv(sg, mask)
         assert text == csv_per_line(sg, mask)
-        assert "".join(scalogram_to_csv(sg, mask, slice(j, j + 1))
-                       for j in range(grid.J)) == text
+        rows = [scalogram_to_csv(sg, mask, slice(j, j + 1))
+                for j in range(grid.J)]
+        assert "".join(rows) == text
+        # one row per chunk, also when forked workers format all but every
+        # third row, whatever the size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wavelet, "_csv_worker_count", lambda j, n: min(3, j))
+            assert list(scalogram_csv_chunks(sg, mask)) == rows
 
     def test_bad_magic(self):
         with pytest.raises(errors.Malformed):
