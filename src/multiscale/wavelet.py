@@ -392,13 +392,14 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
 
 @functools.lru_cache(maxsize=1)
 def _csv_line_tails(n: int, dt_hex: str) -> tuple[str, ...]:
-    """Each CSV line after its scale cell, time already formatted:
-    ``,time,%.17g,%.17g,%.17g,%d\n`` for re, im, power and the flag. The
-    last file's tails are kept, so that a writer that takes one row at a
-    time formats each time once per file. ``dt`` comes as ``float.hex`` so
-    that 0.0 and -0.0 are two keys."""
+    """An empty string, then each CSV line after its scale cell with the
+    time already formatted: ``,time,%.17g,%.17g,%.17g,%d`` and a newline,
+    for re, im, power and the flag. ``scale.join`` of them is a row's
+    template, empty for n = 0. The last file's tails are kept, so that a
+    writer that takes one row at a time formats each time once per file.
+    ``dt`` comes as ``float.hex`` so that 0.0 and -0.0 are two keys."""
     times = (np.arange(n) * float.fromhex(dt_hex)).tolist()
-    return tuple([",%.17g,%%.17g,%%.17g,%%.17g,%%d\n" % t for t in times])
+    return ("", *[",%.17g,%%.17g,%%.17g,%%.17g,%%d\n" % t for t in times])
 
 
 def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask,
@@ -414,7 +415,7 @@ def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask,
         # one template and one % per row; %d prints the 0.0/1.0 flags as 0/1
         scale = "%.17g" % s
         values = np.column_stack((c.real, c.imag, p, m)).ravel().tolist()
-        out.append((scale + scale.join(tails)) % tuple(values))
+        out.append(scale.join(tails) % tuple(values))
     return "".join(out)
 
 

@@ -553,6 +553,11 @@ class TestSerialization:
             mp.setattr(wavelet, "_csv_worker_count", lambda j, n: min(3, j))
             assert list(scalogram_csv_chunks(sg, mask)) == rows
 
+    def test_record_without_times_has_no_lines(self):
+        sg = Scalogram(np.zeros((3, 0), complex), np.array([2.0, 4.0, 8.0]),
+                       dj=1.0, dt=1.0)
+        assert scalogram_to_csv(sg, SignificanceMask(np.zeros((3, 0), bool))) == ""
+
     def test_bad_magic(self):
         with pytest.raises(errors.Malformed):
             scalogram_from_bytes(b"NOPE!" + bytes(64))
