@@ -7,10 +7,10 @@ White noise of n = 2**7 .. 2**14 samples on the default scale grid gives
 J·n from about 2**12 to 2**20 CSV lines. Each sample is one fresh process
 that builds the scalogram and then times reading every chunk of
 ``wavelet.scalogram_csv_chunks`` with 1 or 2 processes, so the 2-process
-time includes importing ``multiprocessing`` and ``concurrent.futures`` and
-forking, as a CLI call pays them. The two counts alternate, ``--reps`` times
-each, and the median wall time of each is reported. It shows where the
-``_CSV_SPLIT_MIN_LINES`` floor pays. Process counts beyond the host's CPUs
+time includes importing ``multiprocessing`` and forking, as a CLI call pays
+them. The two counts alternate, ``--reps`` times each, and the median wall
+time of each is reported. It shows where the ``_CSV_SPLIT_MIN_LINES`` floor
+pays. Process counts beyond the host's CPUs
 say nothing about throughput, so only 1 and 2 are timed.
 """
 

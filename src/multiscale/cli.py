@@ -24,13 +24,9 @@ from . import (
 )
 
 
-class CliError(errors.MultiscaleError):
-    """A bad command line, config file or flag value (exit 2)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise errors.InvalidParameter(message)
 
 
 # config / flag merging ------------------------------------------------------
@@ -41,14 +37,14 @@ def load_config(path: str | None) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read config: {exc}") from exc
+        raise errors.InvalidParameter(f"cannot read config: {exc}") from exc
     cfg = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         key, sep, value = line.split("#", 1)[0].partition("=")
         if sep:
             cfg[key.strip()] = value.strip()
         elif key.strip():
-            raise CliError(f"config line {lineno}: expected key=value")
+            raise errors.InvalidParameter(f"config line {lineno}: expected key=value")
     return cfg
 
 
@@ -76,7 +72,7 @@ class Params:
                         raise ValueError(raw)
                     return value
                 except (TypeError, ValueError) as exc:
-                    raise CliError(f"bad value for {name}: {raw}") from exc
+                    raise errors.InvalidParameter(f"bad value for {name}: {raw}") from exc
         return default
 
 
@@ -150,9 +146,9 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
     seed = params.get("seed", 0, int)
     n = params.get("n", 4096, int)
     if n < 2:
-        raise CliError("n must be >= 2")
+        raise errors.InvalidParameter("n must be >= 2")
     if seed < 0:
-        raise CliError("seed must be >= 0")
+        raise errors.InvalidParameter("seed must be >= 0")
     if kind == "white":
         ts = signal_core.gen_white_noise(n, seed)
     elif kind == "fgn":
@@ -164,22 +160,22 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
     elif kind == "sine":
         f = params.get("f", None, float)
         if f is None:
-            raise CliError("sine needs --f")
+            raise errors.InvalidParameter("sine needs --f")
         ts = signal_core.gen_sine(n, dt, f,
                                   amp=params.get("amp", 1.0, float),
                                   phase=params.get("phase", 0.0, float))
     elif kind == "sines":
         freqs = params.get("f", None, _parse_float_list)
         if not freqs:
-            raise CliError("sines needs --f f1,f2,...")
+            raise errors.InvalidParameter("sines needs --f f1,f2,...")
         amps = params.get("amp", [1.0] * len(freqs), _parse_float_list)
         if len(amps) != len(freqs):
-            raise CliError("--amp list must match --f list")
+            raise errors.InvalidParameter("--amp list must match --f list")
         x = sum((signal_core.gen_sine(n, dt, f, amp=a).samples
                  for f, a in zip(freqs, amps)), np.zeros(n))
         ts = signal_core.TimeSeries(x, dt=dt)
     else:
-        raise CliError(f"unknown generator kind: {kind}")
+        raise errors.InvalidParameter(f"unknown generator kind: {kind}")
     name = params.get("output", kind + ".csv")
     return ({"kind": kind, "n": ts.n, "dt": ts.dt, "file": None},
             [Artifact(name, None, _whole(ts.to_csv))])
@@ -324,7 +320,7 @@ def cmd_phase(params: Params, ts_a) -> tuple[dict, list[Artifact]]:
 def _format(params: Params) -> str:
     fmt = params.get("format", "both")
     if fmt not in ("csv", "json", "both"):
-        raise CliError(f"bad format: {fmt}")
+        raise errors.InvalidParameter(f"bad format: {fmt}")
     return fmt
 
 
@@ -371,7 +367,8 @@ def _run(params: Params) -> dict:
                   for a in artifacts if fmt == "both" or a.fmt in (None, fmt)]
         names = [name for name, _ in picked]
         if len(set(names)) < len(names):
-            raise CliError(f"two outputs would share a name: {', '.join(names)}")
+            raise errors.InvalidParameter(
+                f"two outputs would share a name: {', '.join(names)}")
         out_dir = Path(params.get("out", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
         files = [_save(out_dir / name, a.make()) for name, a in picked]
@@ -390,10 +387,10 @@ def _pipeline(args: argparse.Namespace, config: dict) -> list[dict]:
     names = [a.strip() for a in section.get("analyses", "").split(",")
              if a.strip()]
     if not names:
-        raise CliError("pipeline.analyses is empty")
+        raise errors.InvalidParameter("pipeline.analyses is empty")
     for name in names:
         if name == "gen" or name not in _COMMANDS:
-            raise CliError(f"unknown pipeline analysis: {name}")
+            raise errors.InvalidParameter(f"unknown pipeline analysis: {name}")
     input_path = section.get("input")
     steps = [Params(argparse.Namespace(), config, name)
              for name in (["gen"] if input_path is None else []) + names]
@@ -463,6 +460,8 @@ def main(argv=None) -> int:
         code, detail = exc.exit_code, str(exc)
     except (OSError, MemoryError) as exc:
         code, detail = 3, str(exc) or type(exc).__name__
+    except KeyboardInterrupt:
+        code, detail = 130, "interrupted"
     operation = argv[0] if argv else "cli"
     print(signal_core._json(code=code, operation=operation, detail=detail),
           file=sys.stderr)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadOrder, InvalidParameter, TooShort
+from .errors import InputError, InvalidParameter
 from .signal_core import TimeSeries
 
 # Orthonormal scaling (reconstruction low-pass) filters h0..h_{2p-1},
@@ -67,7 +67,7 @@ def filter_bank(order: int):
 
 def filter_length(order: int) -> int:
     if order not in _DB_FILTERS:
-        raise BadOrder("Daubechies order must be in 1..10")
+        raise InvalidParameter("Daubechies order must be in 1..10")
     return 2 * order
 
 
@@ -114,7 +114,7 @@ def dwt(ts: TimeSeries | np.ndarray, order: int, levels: int) -> DWTCoeffs:
     if levels < 1:
         raise InvalidParameter("levels must be >= 1")
     if levels > int(np.floor(np.log2(x.size / length))):
-        raise TooShort("series too short for this order/levels")
+        raise InputError("series too short for this order/levels")
     dec_lo, dec_hi, _, _ = filter_bank(order)
 
     details = []

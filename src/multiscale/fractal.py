@@ -8,12 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dwt import boundary_margin, dwt as _dwt_decompose, idwt as _dwt_invert, zero_details
-from .errors import (
-    DegenerateWindow,
-    InvalidParameter,
-    NonPositiveVariance,
-    TooFewScales,
-)
+from .errors import InvalidParameter, NumericError
 from .signal_core import TimeSeries, _csv_rows, _json
 from .spectral import _ols
 
@@ -92,7 +87,7 @@ def rescaled_range(ts: TimeSeries, window_sizes) -> RSResult:
     """
     sizes = np.asarray(sorted(set(int(w) for w in window_sizes)), dtype=int)
     if sizes.size < 4:
-        raise TooFewScales("need >= 4 window sizes")
+        raise InvalidParameter("need >= 4 window sizes")
     if sizes[0] < 8:
         raise InvalidParameter("window sizes must be >= 8")
     x = ts.samples
@@ -108,7 +103,7 @@ def rescaled_range(ts: TimeSeries, window_sizes) -> RSResult:
         r = cum.max(axis=1) - cum.min(axis=1)
         s = seg.std(axis=1)
         if np.any(s == 0):
-            raise DegenerateWindow(f"zero std in a window of size {w}")
+            raise NumericError(f"zero std in a window of size {w}")
         rs[i] = np.mean(r / s)
 
     slope, _, stderr, _ = _ols(np.log(sizes.astype(float)), np.log(rs))
@@ -162,7 +157,7 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
     scales = np.asarray(sorted(set(int(s) for s in scales)), dtype=int)
     q = np.asarray(q_values, dtype=np.float64)
     if scales.size < 6:
-        raise TooFewScales(f"need >= 6 scales, got {scales.size}")
+        raise InvalidParameter(f"need >= 6 scales, got {scales.size}")
     # written so that a NaN q fails it
     if q.size < 1 or not np.all((q != 0) & (np.abs(q) <= 10)):
         raise InvalidParameter("q values must exclude 0 and satisfy |q| <= 10")
@@ -201,7 +196,7 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
     for i, s in enumerate(scales):
         f2 = var_fn(int(s))
         if np.any(f2 <= 0):
-            raise NonPositiveVariance(f"zero detrended variance at scale {s}")
+            raise NumericError(f"zero detrended variance at scale {s}")
         # F_q(s) = ( mean f2**(q/2) )**(1/q)
         Fq[i] = np.exp(np.log(np.mean(f2[:, None] ** (q[None, :] / 2.0), axis=0)) / q)
 

@@ -7,12 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    InvalidParameter,
-    LengthMismatch,
-    ScaleMismatch,
-    ScaleOutOfRange,
-)
+from .errors import InputError, InvalidParameter
 from .signal_core import TimeSeries, _csv_rows, _json
 from .wavelet import MorletParams, ScaleGrid, cwt_morlet
 
@@ -67,7 +62,7 @@ def phase_at_scale(ts: TimeSeries, scale: float,
                    params: MorletParams = MorletParams()) -> PhaseSeries:
     """Instantaneous phase of the complex Morlet coefficients at one scale."""
     if not 2.0 * ts.dt <= scale <= ts.n * ts.dt / 4.0:
-        raise ScaleOutOfRange("scale must lie in [2*dt, N*dt/4]")
+        raise InvalidParameter("scale must lie in [2*dt, N*dt/4]")
     sg = cwt_morlet(ts, grid=ScaleGrid(s0=scale, dj=0.125, J=1), params=params)
     wrapped = np.angle(sg.coeffs[0])
     unwrapped = np.unwrap(wrapped)
@@ -79,9 +74,9 @@ def phase_at_scale(ts: TimeSeries, scale: float,
 def phase_difference(a: PhaseSeries, b: PhaseSeries) -> PhaseDiffResult:
     """Wrapped pointwise phase difference a - b."""
     if a.n != b.n:
-        raise LengthMismatch("phase series lengths differ")
+        raise InputError("phase series lengths differ")
     if not np.isclose(a.scale, b.scale):
-        raise ScaleMismatch("phase series scales differ")
+        raise InputError("phase series scales differ")
     delta = wrap_phase(a.wrapped - b.wrapped)
     return PhaseDiffResult(delta=delta, coi_valid=a.coi_valid & b.coi_valid,
                            scale=a.scale, dt=a.dt)

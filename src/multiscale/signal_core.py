@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    Aliased,
-    InvalidParameter,
-    Malformed,
-    NonUniformSampling,
-    TooShort,
-)
+from .errors import InputError, InvalidParameter
 
 
 def _csv_rows(*columns) -> str:
@@ -67,9 +61,9 @@ class TimeSeries:
     def __post_init__(self):
         x = np.ascontiguousarray(self.samples, dtype=np.float64)
         if x.ndim != 1 or x.size < 2:
-            raise TooShort("need at least 2 samples")
+            raise InputError("need at least 2 samples")
         if not np.all(np.isfinite(x)):
-            raise Malformed("samples must all be finite")
+            raise InputError("samples must all be finite")
         if not self.dt > 0:
             raise InvalidParameter("dt must be > 0")
         x.setflags(write=False)
@@ -109,40 +103,40 @@ def load_csv(source, dt: float | None = None) -> TimeSeries:
             source = source.read()
         text = source.decode("utf-8") if isinstance(source, bytes) else source
     except UnicodeDecodeError as exc:
-        raise Malformed(f"byte {exc.start}: input is not UTF-8 text") from None
+        raise InputError(f"byte {exc.start}: input is not UTF-8 text") from None
     if not isinstance(text, str):
-        raise Malformed("unsupported CSV source type")
+        raise InputError("unsupported CSV source type")
 
     lines = text.replace(",", " ").splitlines()
     with warnings.catch_warnings():
-        # input with no data row is TooShort below, not a warning on stderr
+        # input with no data row fails the row count below, not a warning on stderr
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
         except ValueError as exc:
-            raise Malformed(str(exc)) from None
+            raise InputError(str(exc)) from None
     rows, ncols = data.shape
     # numpy also skips a line of commas alone, which is a row of empty cells
     if rows < len(lines) and rows < sum(map(bool, map(str.strip,
                                                       text.splitlines()))):
-        raise Malformed("a line holds commas but no number")
+        raise InputError("a line holds commas but no number")
     if ncols not in (1, 2):
-        raise Malformed(f"expected 1 or 2 columns, got {ncols}")
+        raise InputError(f"expected 1 or 2 columns, got {ncols}")
     if rows < 2:
-        raise TooShort("need at least 2 rows")
+        raise InputError("need at least 2 rows")
 
     if ncols == 1:
         return TimeSeries(data[:, 0], dt=dt if dt is not None else 1.0)
 
     t, x = data[:, 0], data[:, 1]
     if not np.all(np.isfinite(t)):
-        raise Malformed("time stamps must all be finite")
+        raise InputError("time stamps must all be finite")
     diffs = np.diff(t)
     if np.any(diffs <= 0):
-        raise NonUniformSampling("time stamps must be strictly increasing")
+        raise InputError("time stamps must be strictly increasing")
     dt_est = float(np.median(diffs))
     if np.max(np.abs(diffs - dt_est)) > 1e-6 * dt_est:
-        raise NonUniformSampling("time stamps are not uniformly spaced")
+        raise InputError("time stamps are not uniformly spaced")
     return TimeSeries(x, dt=dt if dt is not None else dt_est)
 
 
@@ -155,7 +149,7 @@ def profile(ts: TimeSeries) -> TimeSeries:
 def gen_white_noise(n: int, seed: int) -> TimeSeries:
     """i.i.d. standard Gaussian samples with dt = 1."""
     if n < 2:
-        raise TooShort("n must be >= 2")
+        raise InputError("n must be >= 2")
     rng = np.random.default_rng(seed)
     return TimeSeries(rng.standard_normal(n), dt=1.0)
 
@@ -176,7 +170,7 @@ def gen_fgn(n: int, hurst: float, seed: int) -> TimeSeries:
     if not 0.0 < hurst < 1.0:
         raise InvalidParameter("hurst must be in (0, 1)")
     if n < 2:
-        raise TooShort("n must be >= 2")
+        raise InputError("n must be >= 2")
 
     gamma = _fgn_autocov(n + 1, hurst)
     # first row of the 2n circulant: gamma_0..gamma_n, gamma_{n-1}..gamma_1
@@ -234,10 +228,10 @@ def gen_sine(n: int, dt: float, f: float, amp: float = 1.0,
              phase: float = 0.0) -> TimeSeries:
     """Sampled sinusoid amp*sin(2*pi*f*t + phase)."""
     if n < 2:
-        raise TooShort("n must be >= 2")
+        raise InputError("n must be >= 2")
     if not dt > 0 or not f > 0:
         raise InvalidParameter("dt and f must be > 0")
     if f >= 0.5 / dt:
-        raise Aliased(f"f={f} is at or above Nyquist {0.5 / dt}")
+        raise InvalidParameter(f"f={f} is at or above Nyquist {0.5 / dt}")
     k = np.arange(n)
     return TimeSeries(amp * np.sin(2 * np.pi * f * k * dt + phase), dt=dt)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientBand, InvalidParameter, TooShort, ZeroPower
+from .errors import InputError, InvalidParameter, NumericError
 from .signal_core import TimeSeries, _csv_rows, _json
 
 
@@ -114,7 +114,7 @@ def periodogram(ts: TimeSeries, segments: int = 1,
         raise InvalidParameter("overlap_fraction must be in [0, 1)")
     nperseg = ts.n // segments
     if nperseg < 8:
-        raise TooShort("segment length must be >= 8")
+        raise InputError("segment length must be >= 8")
     fs = 1.0 / ts.dt
     step = nperseg - int(overlap_fraction * nperseg)
     freqs, power = _mean_psd(ts.samples, nperseg, step, hann=segments > 1,
@@ -138,10 +138,10 @@ def fit_power_law(spec: PowerSpectrum, f_min: float, f_max: float) -> PowerLawFi
     """OLS of log10(power) on log10(freq) over [f_min, f_max]; alpha = -slope."""
     sel = _band_mask(spec, f_min, f_max)
     if np.count_nonzero(sel) < 8:
-        raise InsufficientBand("need >= 8 bins inside the band")
+        raise NumericError("need >= 8 bins inside the band")
     p = spec.power[sel]
     if np.any(p <= 0):
-        raise ZeroPower("all selected powers must be > 0")
+        raise NumericError("all selected powers must be > 0")
     lx = np.log10(spec.freqs[sel])
     ly = np.log10(p)
     slope, intercept, stderr, r2 = _ols(lx, ly)
@@ -192,10 +192,10 @@ def fit_heisenberg(spec: PowerSpectrum, band: tuple[float, float]) -> Heisenberg
     f_min, f_max = band
     sel = _band_mask(spec, f_min, f_max)
     if np.count_nonzero(sel) < 16:
-        raise InsufficientBand("need >= 16 bins inside the band")
+        raise NumericError("need >= 16 bins inside the band")
     p = spec.power[sel]
     if np.any(p <= 0):
-        raise ZeroPower("all selected powers must be > 0")
+        raise NumericError("all selected powers must be > 0")
     logf = np.log(spec.freqs[sel])
     logp = np.log(p)
 

@@ -13,15 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    EmptyBand,
-    EmptyCOI,
-    GridTooCoarse,
-    InvalidParameter,
-    Malformed,
-    ScaleOutOfRange,
-    TooShort,
-)
+from .errors import InputError, InvalidParameter, NumericError
 from .signal_core import TimeSeries
 
 # reconstruction constant for omega0 = 6; other omega0 values keep relative
@@ -196,16 +188,16 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     """
     n = ts.n
     if n < 32:
-        raise TooShort("need at least 32 samples")
+        raise InputError("need at least 32 samples")
     if grid is None:
         grid = ScaleGrid.default_for(n, ts.dt)
     # below about 1.9 dt a Morlet scale's centre frequency is above Nyquist
     if grid.s0 < 2.0 * ts.dt * (1.0 - 1e-12):
-        raise ScaleOutOfRange("smallest scale is below 2*dt")
+        raise InvalidParameter("smallest scale is below 2*dt")
     # in log2 space, before any array of J scales exists
     if (math.log2(grid.s0) + grid.dj * (grid.J - 1)
             > math.log2(n * ts.dt / 4.0) + math.log2(1.0 + 1e-12)):
-        raise GridTooCoarse("largest scale exceeds a quarter of the record")
+        raise InvalidParameter("largest scale exceeds a quarter of the record")
     if pad not in ("zero", "periodic"):
         raise InvalidParameter("pad must be 'zero' or 'periodic'")
     if 16 * grid.J * n > _physical_memory():
@@ -280,7 +272,7 @@ def global_spectrum(sg: Scalogram, coi_only: bool = False) -> np.ndarray:
     inside = sg.scales[:, None] <= sg.coi[None, :]
     counts = inside.sum(axis=1)
     if np.any(counts == 0):
-        raise EmptyCOI("some scales have no cone-of-influence interior")
+        raise NumericError("some scales have no cone-of-influence interior")
     return np.array([np.where(ins, p, 0.0).sum()
                      for ins, p in zip(inside, _row_power(sg.coeffs))]) / counts
 
@@ -289,7 +281,7 @@ def _band_indices(sg: Scalogram, band: tuple[float, float]) -> np.ndarray:
     s_lo, s_hi = band
     sel = np.nonzero((sg.scales >= s_lo) & (sg.scales <= s_hi))[0]
     if sel.size == 0:
-        raise EmptyBand("band does not intersect the scale grid")
+        raise NumericError("band does not intersect the scale grid")
     return sel
 
 
@@ -344,7 +336,7 @@ def dominant_scale(sg: Scalogram) -> float:
     mid = gws[1:-1]
     peak = (mid > gws[:-2]) & (mid >= gws[2:])
     if not peak.any():
-        raise EmptyBand("no global-spectrum peak to select a scale")
+        raise NumericError("no global-spectrum peak to select a scale")
     return float(sg.scales[1 + np.argmax(np.where(peak, mid, -np.inf))])
 
 
@@ -376,12 +368,12 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
     """
     off = len(_MAGIC) + _HEADER.size
     if data[:len(_MAGIC)] != _MAGIC:
-        raise Malformed("bad scalogram magic")
+        raise InputError("bad scalogram magic")
     if len(data) < off:
-        raise Malformed("scalogram record shorter than its header")
+        raise InputError("scalogram record shorter than its header")
     n, j, dt, omega0 = _HEADER.unpack_from(data, len(_MAGIC))
     if j < 1 or len(data) != off + 8 * j + 16 * j * n:
-        raise Malformed("scalogram record length does not match its header")
+        raise InputError("scalogram record length does not match its header")
     scales = np.frombuffer(data, dtype="<f8", count=j, offset=off)
     coeffs = np.frombuffer(data, dtype="<c16", count=j * n, offset=off + 8 * j)
     dj = float(np.log2(scales[1] / scales[0])) if j > 1 else 0.125

@@ -17,8 +17,8 @@ from hypothesis import assume, given, strategies as st
 import multiscale as ms
 from multiscale import (cli, errors, fractal, phase as phase_mod, signal_core,
                         wavelet)
-from multiscale.cli import (CliError, Params, _parse_float_list,
-                           _parse_int_list, _parse_scale, main)
+from multiscale.cli import (Params, _parse_float_list, _parse_int_list,
+                           _parse_scale, main)
 
 
 def run(capsys, *argv):
@@ -605,9 +605,12 @@ class TestCsvWorkerFailures:
         assert self.cwt(pair, tmp_path) == 0
         assert capfd.readouterr().err == ""
 
-    @pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt])
+    @pytest.mark.parametrize("exc, code, detail", [
+        (OSError("disk full"), 3, "disk full"),
+        (KeyboardInterrupt, 130, "interrupted"),
+    ], ids=["exc0", "KeyboardInterrupt"])
     def test_a_failed_write_stops_the_workers(self, pair, tmp_path, capfd,
-                                              monkeypatch, exc):
+                                              monkeypatch, exc, code, detail):
         write = cli._write
 
         def failing_after_one_row(fh, chunk):
@@ -616,55 +619,127 @@ class TestCsvWorkerFailures:
             write(fh, chunk)
 
         monkeypatch.setattr(cli, "_write", failing_after_one_row)
-        if isinstance(exc, OSError):
-            assert self.cwt(pair, tmp_path) == 3
-            out, err = capfd.readouterr()
-            assert json.loads(err) == {"code": 3, "operation": "cwt",
-                                       "detail": "disk full"}
-        else:
-            with pytest.raises(KeyboardInterrupt):
-                self.cwt(pair, tmp_path)
-            out, err = capfd.readouterr()
-            assert err == ""
+        assert self.cwt(pair, tmp_path) == code
+        out, err = capfd.readouterr()
         assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"code": code, "operation": "cwt",
+                                   "detail": detail}
+        assert multiprocessing.active_children() == []
+
+    def test_ctrl_c_while_computing_exits_130(self, pair, tmp_path, capfd,
+                                             monkeypatch):
+        def interrupted(*args, **kwargs):
+            signal.raise_signal(signal.SIGINT)
+
+        monkeypatch.setattr(wavelet, "significance_mask", interrupted)
+        assert self.cwt(pair, tmp_path) == 130
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"code": 130, "operation": "cwt",
+                                   "detail": "interrupted"}
         assert multiprocessing.active_children() == []
 
 
 # The exit code of every package error, as the command line documents it.
-EXIT_CODES = {
-    "MultiscaleError": 2, "CliError": 2, "InvalidParameter": 2,
-    "Aliased": 2, "TooFewScales": 2, "GridTooCoarse": 2,
-    "ScaleOutOfRange": 2, "BadOrder": 2,
-    "InputError": 3, "Malformed": 3, "NonUniformSampling": 3, "TooShort": 3,
-    "LengthMismatch": 3, "ScaleMismatch": 3,
-    "NumericError": 4, "DegenerateWindow": 4, "NonPositiveVariance": 4,
-    "ZeroPower": 4, "InsufficientBand": 4, "EmptyBand": 4, "EmptyCOI": 4,
-}
+EXIT_CODES = {"MultiscaleError": 2, "InvalidParameter": 2, "InputError": 3,
+              "NumericError": 4}
 
 
 def package_errors():
-    found = [cls for cls in vars(errors).values()
-             if isinstance(cls, type) and issubclass(cls, errors.MultiscaleError)]
-    return found + [CliError]
+    """Every MultiscaleError subclass, in whichever module it is defined."""
+    found, todo = [], [errors.MultiscaleError]
+    while todo:
+        found.append(todo.pop())
+        todo.extend(found[-1].__subclasses__())
+    return found
+
+
+def injected(cls):
+    def fail():
+        raise cls("injected")
+    return pytest.param(fail, EXIT_CODES.get(cls.__name__), "injected",
+                        id=cls.__name__)
+
+
+def zero_power_spectrum():
+    freqs = np.linspace(0.1, 1.0, 32)
+    power = np.ones(32)
+    power[5] = 0.0
+    return ms.PowerSpectrum(freqs, power, n_source=64, df=freqs[1] - freqs[0])
+
+
+def white(n):
+    return ms.gen_white_noise(n, 0)
+
+
+# One real raise site for each kind of failure the package refuses, named for
+# that kind, with the exit code and the detail the command line prints for it.
+# The family classes carry the code; the detail tells the sites apart.
+FAILURES = [pytest.param(fail, code, detail, id=kind)
+            for kind, fail, code, detail in [
+    ("CliError", lambda: Params(argparse.Namespace(), {"x": "nan"}, "rs")
+     .get("x", 0.0, float), 2, "bad value for x: nan"),
+    ("Aliased", lambda: ms.gen_sine(64, 0.25, 3.0), 2,
+     "f=3.0 is at or above Nyquist 2.0"),
+    ("TooFewScales", lambda: ms.rescaled_range(white(512), [8, 16, 32]), 2,
+     "need >= 4 window sizes"),
+    ("GridTooCoarse", lambda: ms.cwt_morlet(
+        white(256), wavelet.ScaleGrid(2.0, 0.6, 20)), 2,
+     "largest scale exceeds a quarter of the record"),
+    ("ScaleOutOfRange", lambda: ms.phase_at_scale(white(256), 0.5), 2,
+     "scale must lie in [2*dt, N*dt/4]"),
+    ("BadOrder", lambda: ms.dwt(np.zeros(64), 11, 1), 2,
+     "Daubechies order must be in 1..10"),
+    ("TooShort", lambda: ms.load_csv("1.0"), 3, "need at least 2 rows"),
+    ("Malformed", lambda: ms.load_csv("1\n , \n2\n3"), 3,
+     "a line holds commas but no number"),
+    ("NonUniformSampling", lambda: ms.load_csv("0,1\n1,2\n2.5,3"), 3,
+     "time stamps are not uniformly spaced"),
+    ("LengthMismatch", lambda: ms.phase_difference(
+        ms.phase_at_scale(white(1024), 32.0),
+        ms.phase_at_scale(white(512), 32.0)), 3, "phase series lengths differ"),
+    ("ScaleMismatch", lambda: ms.phase_difference(
+        ms.phase_at_scale(white(1024), 32.0),
+        ms.phase_at_scale(white(1024), 48.0)), 3, "phase series scales differ"),
+    ("DegenerateWindow", lambda: ms.rescaled_range(
+        ms.TimeSeries(np.ones(512)), [8, 16, 32, 64]), 4,
+     "zero std in a window of size 8"),
+    ("NonPositiveVariance", lambda: ms.mfdfa(
+        ms.TimeSeries(np.zeros(4096)), [16, 32, 64, 128, 256, 512], [1.0, 2.0],
+        detrend=1), 4, "zero detrended variance at scale 16"),
+    ("InsufficientBand", lambda: ms.fit_heisenberg(
+        zero_power_spectrum(), (0.1, 0.3)), 4,
+     "need >= 16 bins inside the band"),
+    ("ZeroPower", lambda: ms.fit_power_law(zero_power_spectrum(), 0.1, 1.0), 4,
+     "all selected powers must be > 0"),
+    ("EmptyCOI", lambda: ms.global_spectrum(wavelet.Scalogram(
+        np.ones((1, 64), complex), np.array([1e6]), dj=0.125, dt=1.0),
+        coi_only=True), 4, "some scales have no cone-of-influence interior"),
+    ("EmptyBand", lambda: ms.scale_avg_variance(
+        ms.cwt_morlet(white(256)), (1e9, 2e9)), 4,
+     "band does not intersect the scale grid"),
+]]
 
 
 class TestErrorExitCodes:
     def test_every_error_is_pinned(self):
         assert sorted(c.__name__ for c in package_errors()) == sorted(EXIT_CODES)
 
-    @pytest.mark.parametrize("cls", package_errors(), ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("fail, want, detail",
+                             [injected(c) for c in package_errors()] + FAILURES)
     def test_error_from_a_step_exits_with_its_code(self, pair, tmp_path,
-                                                   capsys, monkeypatch, cls):
-        def fail(*args, **kwargs):
-            raise cls("injected")
-
-        monkeypatch.setattr(fractal, "rescaled_range", fail)
+                                                   capsys, monkeypatch, fail,
+                                                   want, detail):
+        monkeypatch.setattr(fractal, "rescaled_range",
+                            lambda *args, **kwargs: fail())
         code, out, err = run(capsys, "rs", pair[0], "--out", str(tmp_path))
-        assert code == EXIT_CODES[cls.__name__]
+        assert code == want
         assert out == ""
         assert err.count("\n") == 1
         assert json.loads(err) == {"code": code, "operation": "rs",
-                                   "detail": "injected"}
+                                   "detail": detail}
 
 
 class TestIntListGrammar:
@@ -720,7 +795,7 @@ class TestParamsPrecedence:
     @given(names, st.text("xyz.", min_size=1))
     def test_unconvertible_value_is_exit_2_error(self, name, raw):
         params = Params(argparse.Namespace(), {f"sec.{name}": raw}, "sec")
-        with pytest.raises(CliError):
+        with pytest.raises(errors.InvalidParameter, match="bad value for"):
             params.get(name, 0, int)
 
     @pytest.mark.parametrize("raw, convert", [
@@ -730,7 +805,7 @@ class TestParamsPrecedence:
     ])
     def test_non_finite_float_is_exit_2_error(self, raw, convert):
         params = Params(argparse.Namespace(), {"sec.x": raw}, "sec")
-        with pytest.raises(CliError):
+        with pytest.raises(errors.InvalidParameter, match="bad value for x"):
             params.get("x", 0.0, convert)
 
 

@@ -65,14 +65,17 @@ def test_trend_extraction_zero_signal():
 
 
 def test_bad_order():
-    with pytest.raises(errors.BadOrder):
+    with pytest.raises(errors.InvalidParameter,
+                       match=r"Daubechies order must be in 1\.\.10"):
         dwt(np.zeros(64), 11, 1)
-    with pytest.raises(errors.BadOrder):
+    with pytest.raises(errors.InvalidParameter,
+                       match=r"Daubechies order must be in 1\.\.10"):
         filter_length(0)
 
 
 def test_too_many_levels():
-    with pytest.raises(errors.TooShort):
+    with pytest.raises(errors.InputError,
+                       match="series too short for this order/levels"):
         dwt(np.zeros(64), 10, 3)  # filter length 20, N/L = 3.2
 
 

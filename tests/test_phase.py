@@ -41,9 +41,11 @@ class TestPhaseAtScale:
 
     def test_scale_out_of_range(self):
         ts = ms.gen_white_noise(256, 0)
-        with pytest.raises(errors.ScaleOutOfRange):
+        with pytest.raises(errors.InvalidParameter,
+                           match=r"scale must lie in \[2\*dt, N\*dt/4\]"):
             ms.phase_at_scale(ts, 0.5)
-        with pytest.raises(errors.ScaleOutOfRange):
+        with pytest.raises(errors.InvalidParameter,
+                           match=r"scale must lie in \[2\*dt, N\*dt/4\]"):
             ms.phase_at_scale(ts, 1000.0)
 
 
@@ -82,14 +84,16 @@ class TestPhaseDifference:
     def test_length_mismatch(self):
         pa = ms.phase_at_scale(ms.gen_white_noise(1024, 0), 32.0)
         pb = ms.phase_at_scale(ms.gen_white_noise(512, 0), 32.0)
-        with pytest.raises(errors.LengthMismatch):
+        with pytest.raises(errors.InputError,
+                           match="phase series lengths differ"):
             ms.phase_difference(pa, pb)
 
     def test_scale_mismatch(self):
         ts = ms.gen_white_noise(1024, 0)
         pa = ms.phase_at_scale(ts, 32.0)
         pb = ms.phase_at_scale(ts, 48.0)
-        with pytest.raises(errors.ScaleMismatch):
+        with pytest.raises(errors.InputError,
+                           match="phase series scales differ"):
             ms.phase_difference(pa, pb)
 
 

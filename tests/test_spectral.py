@@ -60,7 +60,8 @@ class TestPeriodogram:
 
     def test_too_short_segments(self):
         ts = ms.gen_white_noise(32, 0)
-        with pytest.raises(errors.TooShort):
+        with pytest.raises(errors.InputError,
+                           match="segment length must be >= 8"):
             ms.periodogram(ts, segments=8)
 
 
@@ -149,7 +150,8 @@ class TestFitPowerLaw:
 
     def test_insufficient_band(self):
         spec = make_power_law_spectrum(2.0)
-        with pytest.raises(errors.InsufficientBand):
+        with pytest.raises(errors.NumericError,
+                           match="need >= 8 bins inside the band"):
             ms.fit_power_law(spec, spec.freqs[0], spec.freqs[3])
 
     def test_zero_power(self):
@@ -157,7 +159,8 @@ class TestFitPowerLaw:
         power = np.ones(32)
         power[5] = 0.0
         spec = ms.PowerSpectrum(freqs, power, n_source=64, df=freqs[1] - freqs[0])
-        with pytest.raises(errors.ZeroPower):
+        with pytest.raises(errors.NumericError,
+                           match="all selected powers must be > 0"):
             ms.fit_power_law(spec, 0.1, 1.0)
 
     def test_default_band(self):
@@ -215,5 +218,6 @@ class TestFitHeisenberg:
         freqs = np.logspace(0, 1, 10)
         spec = ms.PowerSpectrum(freqs, freqs ** -2.0, n_source=64,
                                 df=freqs[1] - freqs[0])
-        with pytest.raises(errors.InsufficientBand):
+        with pytest.raises(errors.NumericError,
+                           match="need >= 16 bins inside the band"):
             ms.fit_heisenberg(spec, (freqs[0], freqs[-1]))
