@@ -205,13 +205,20 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     scales = grid.scales
 
     m = _pad_length(n) if pad == "zero" else n
+    # the Morlet spectrum is zero at omega <= 0, and exp(-arg**2 / 2) is 0.0
+    # from |arg| = 38.61 on: row j's product is zero outside the positive
+    # bins omega[lo[j]:hi[j]], those with |s_j * omega - omega0| <= 40
+    pos = slice(1, (m + 1) // 2)
+    omega = 2.0 * np.pi * np.fft.fftfreq(m, ts.dt)[pos]
+    with np.errstate(over="ignore"):  # a bound past every bin may be inf
+        lo = np.searchsorted(omega, (params.omega0 - 40.0) / scales)
+        hi = np.searchsorted(omega, (params.omega0 + 40.0) / scales, "right")
+    if lo[0] == hi[0]:
+        raise InvalidParameter("the Morlet filter of the smallest scale is "
+                               "zero at every frequency")
     x = np.zeros(m)
     x[:n] = ts.samples
-    # the Morlet spectrum is zero at omega <= 0, so only the positive bins
-    # 1 .. (m+1)//2 - 1 carry the product; the rest of z stays zero
-    pos = slice(1, (m + 1) // 2)
     spec = np.fft.fft(x)[pos]
-    omega = 2.0 * np.pi * np.fft.fftfreq(m, ts.dt)[pos]
 
     coeffs = np.empty((grid.J, n), dtype=np.complex128)
     # worker k fills rows k, k+w, k+2w, ...; numpy's FFT and ufuncs release
@@ -222,13 +229,16 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
 
     def rows(first: int) -> None:
         z = np.zeros(m, dtype=np.complex128)
+        band = slice(0)
         for j in range(first, grid.J, w):
             if failed:  # another worker has raised: stop after this row
                 return
             s = scales[j]
+            z[band] = 0.0  # the last row's band; the rest of z is still zero
+            band = slice(1 + lo[j], 1 + hi[j])
             psi_hat = np.sqrt(2.0 * np.pi * s / ts.dt) * morlet_spectrum(
-                omega, s, params.omega0)
-            np.multiply(spec, psi_hat, out=z[pos])
+                omega[lo[j]:hi[j]], s, params.omega0)
+            np.multiply(spec[lo[j]:hi[j]], psi_hat, out=z[band])
             coeffs[j] = np.fft.ifft(z)[:n]
 
     def worker(k: int) -> None:

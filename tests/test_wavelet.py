@@ -206,6 +206,50 @@ class TestCwtBasics:
             ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(s0, 0.5, 4))
         ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.5, 4))
 
+    def test_filter_zero_at_every_bin_is_refused_before_any_transform(self):
+        # n = 256, dt = 1: the largest positive bin is 2 pi 255 / 512 =
+        # 3.129, so the band |2 omega - omega0| <= 40 of s0 = 2 reaches it
+        # up to omega0 = 46.2586
+        ts = ms.gen_white_noise(256, 0)
+        grid = ScaleGrid(2.0, 0.5, 6)
+        ms.cwt_morlet(ts, grid, MorletParams(46.25))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transform started")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.fft, "fft", refuse)
+            for omega0 in (46.26, 1e308):
+                with pytest.raises(errors.InvalidParameter,
+                                   match="smallest scale is zero at every"):
+                    ms.cwt_morlet(ts, grid, MorletParams(omega0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(omega0=st.floats(5.0, 46.0), dt=st.floats(1e-3, 10.0),
+           n=st.integers(32, 2 ** 13), pad=st.sampled_from(["zero", "periodic"]),
+           frac=st.floats(0.0, 1.0))
+    def test_filter_is_zero_outside_its_band(self, omega0, dt, n, pad, frac):
+        # s from 2 dt to n dt / 4; the bins the transform leaves out of the
+        # filter must be those where the full-width filter is exactly 0.0
+        s = min(2.0 * dt * (n / 8.0) ** frac, n * dt / 4.0)
+        band = []
+
+        def spy(omega, scale, omega0):
+            band.extend(omega)
+            return morlet_spectrum(omega, scale, omega0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wavelet, "morlet_spectrum", spy)
+            try:
+                ms.cwt_morlet(ms.TimeSeries(np.ones(n), dt=dt),
+                              ScaleGrid(s, 0.125, 1), MorletParams(omega0), pad)
+            except errors.InvalidParameter:  # refused: no bin is in the band
+                assert not band
+        m = _pad_length(n) if pad == "zero" else n
+        omega = 2.0 * np.pi * np.fft.fftfreq(m, dt)[1:(m + 1) // 2]
+        outside = omega[~np.isin(omega, band)]
+        assert np.all(morlet_spectrum(outside, s, omega0) == 0.0)
+
     def test_admissibility_floor(self):
         with pytest.raises(errors.InvalidParameter):
             MorletParams(omega0=4.0)
@@ -239,11 +283,14 @@ def cwt_cases(draw):
     n = draw(st.integers(32, 4096))
     dt = draw(st.floats(1e-3, 10.0))
     dj = draw(st.sampled_from([0.125, 0.25, 0.5, 1.0]))
-    j_max = ScaleGrid.default_for(n, dt, dj=dj).J
-    grid = ScaleGrid(2.0 * dt, dj, draw(st.integers(1, min(j_max, 12))))
+    # s0 from 2 dt to n dt / 4, so that the filter bands run from clipped at
+    # the Nyquist end to a few bins wide
+    s0 = 2.0 * dt * (n / 8.0) ** draw(st.floats(0.0, 1.0))
+    j_max = ScaleGrid.default_for(n, dt, s0=s0, dj=dj).J
+    grid = ScaleGrid(s0, dj, draw(st.integers(1, min(j_max, 12))))
     x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(n)
     pad = draw(st.sampled_from(["zero", "periodic"]))
-    omega0 = draw(st.sampled_from([6.0, 5.0, 8.5]))
+    omega0 = draw(st.floats(5.0, 40.0))
     return ms.TimeSeries(x, dt=dt), grid, MorletParams(omega0), pad
 
 
