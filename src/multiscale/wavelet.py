@@ -29,11 +29,16 @@ PSI0_ZERO = np.pi ** (-0.25)
 _THREADED_MIN_LENGTH = 4096
 # Most threads per transform, and most processes per scalogram CSV. Each
 # thread holds its own buffers: at n = 2**16 (131072 points, 105 scales) the
-# transform added 118/125/138/164/203 MB of peak RSS with 1/2/4/8/16 workers
+# transform added 120/133/151/182/269 MB of peak RSS with 1/2/4/8/16 workers
 # (same script), so large hosts, and CPU counts that ignore cgroup quotas,
-# cost at most ~14 MB over two workers. Speed-ups beyond 2 CPUs are
+# cost at most ~18 MB over two workers. Speed-ups beyond 2 CPUs are
 # unmeasured.
 _MAX_WORKERS = 4
+# Scale rows per inverse FFT call: numpy transforms a call's rows together in
+# SIMD lanes, through a scratch copy. At 131072 points, in place, one thread
+# took 3.9/3.1/2.9 ms per row in blocks of 1/2/4; at n = 2**16 two workers
+# added 121/133/137/152 MB of peak RSS in blocks of 1/2/4/8.
+_BLOCK_ROWS = 2
 # Fewest scalogram CSV lines (scales x times) that are split over processes.
 # scripts/csv_workers.py on a 2-core host, fresh process, median of 9: two
 # processes took 1.8x as long as one at 4224 lines (12 -> 22 ms), 1.1x at
@@ -218,7 +223,8 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
                                "zero at every frequency")
     x = np.zeros(m)
     x[:n] = ts.samples
-    spec = np.fft.fft(x)[pos]
+    spec = np.fft.fft(x)[pos].copy()  # frees the other half of the spectrum
+    del x
 
     coeffs = np.empty((grid.J, n), dtype=np.complex128)
     # worker k fills rows k, k+w, k+2w, ...; numpy's FFT and ufuncs release
@@ -228,18 +234,22 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     failed: list[BaseException] = []
 
     def rows(first: int) -> None:
-        z = np.zeros(m, dtype=np.complex128)
-        band = slice(0)
-        for j in range(first, grid.J, w):
-            if failed:  # another worker has raised: stop after this row
+        mine = range(first, grid.J, w)
+        block = np.empty((min(_BLOCK_ROWS, len(mine)), m), dtype=np.complex128)
+        for i in range(0, len(mine), _BLOCK_ROWS):
+            if failed:  # another worker has raised: stop after this block
                 return
-            s = scales[j]
-            z[band] = 0.0  # the last row's band; the rest of z is still zero
-            band = slice(1 + lo[j], 1 + hi[j])
-            psi_hat = np.sqrt(2.0 * np.pi * s / ts.dt) * morlet_spectrum(
-                omega[lo[j]:hi[j]], s, params.omega0)
-            np.multiply(spec[lo[j]:hi[j]], psi_hat, out=z[band])
-            coeffs[j] = np.fft.ifft(z)[:n]
+            js = mine[i:i + _BLOCK_ROWS]
+            z = block[:len(js)]
+            z.fill(0.0)
+            for row, j in zip(z, js):
+                s = scales[j]
+                psi_hat = np.sqrt(2.0 * np.pi * s / ts.dt) * morlet_spectrum(
+                    omega[lo[j]:hi[j]], s, params.omega0)
+                np.multiply(spec[lo[j]:hi[j]], psi_hat,
+                            out=row[1 + lo[j]:1 + hi[j]])
+            np.fft.ifft(z, axis=1, out=z)
+            coeffs[js.start:js.stop:w] = z[:, :n]
 
     def worker(k: int) -> None:
         try:

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,7 +296,7 @@ def cwt_cases(draw):
 
 
 class TestCwtThreads:
-    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     @settings(max_examples=40, deadline=None)
     @given(case=cwt_cases())
     def test_bit_identical_to_full_spectrum_loop(self, cpus, case):
@@ -322,6 +323,42 @@ class TestCwtThreads:
         monkeypatch.setattr(threading, "Thread", Counted)
         ms.cwt_morlet(ms.gen_white_noise(n, 0), ScaleGrid(2.0, 0.5, J))
         assert len(threads) == started
+
+    @pytest.mark.parametrize("J, cpus, calls", [(1, 1, 1), (5, 1, 3), (6, 1, 3),
+                                                (5, 2, 3), (7, 3, 4), (2, 3, 2)])
+    def test_two_rows_per_ifft_call(self, monkeypatch, J, cpus, calls):
+        # each worker transforms its rows two at a time, an odd last one
+        # alone: sum over workers of ceil(rows / 2) calls
+        ifft = np.fft.ifft
+        blocks = []
+
+        def counted(z, *args, **kwargs):
+            blocks.append(z.shape[0])
+            return ifft(z, *args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        ms.cwt_morlet(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.25, J))
+        assert len(blocks) == calls and sum(blocks) == J
+
+    def test_peak_memory_is_coefficients_and_one_block(self, monkeypatch):
+        # the block of two rows is transformed in place: beside the
+        # coefficients, one worker holds 32 bytes per padded point for it,
+        # plus the half spectrum, its frequencies and one row's narrow
+        # filter band; an ifft result next to its input would add 32 more
+        ts = ms.gen_white_noise(4096, 0)
+        grid = ScaleGrid(64.0, 0.25, 12)
+        m = _pad_length(ts.n)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        ms.cwt_morlet(ts, grid)  # first-call allocations are not the transform's
+        tracemalloc.start()
+        try:
+            coeffs = ms.cwt_morlet(ts, grid).coeffs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - coeffs.nbytes < 56 * m
 
     def test_workers_capped_on_many_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -367,10 +404,10 @@ class TestCwtThreads:
         ifft = np.fft.ifft
         main = threading.main_thread()
 
-        def failing_off_main(z):
+        def failing_off_main(*args, **kwargs):
             if threading.current_thread() is not main:
                 raise MemoryError("no room")
-            return ifft(z)
+            return ifft(*args, **kwargs)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
@@ -385,11 +422,11 @@ class TestCwtThreads:
         main = threading.main_thread()
         rows_off_main = []
 
-        def interrupted_on_main(z):
+        def interrupted_on_main(z, *args, **kwargs):
             if threading.current_thread() is main:
                 raise KeyboardInterrupt
-            rows_off_main.append(1)
-            return ifft(z)
+            rows_off_main.append(z.shape[0])
+            return ifft(z, *args, **kwargs)
 
         before = threading.active_count()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -398,7 +435,7 @@ class TestCwtThreads:
         with pytest.raises(KeyboardInterrupt):
             ms.cwt_morlet(ms.gen_white_noise(4096, 0), ScaleGrid(2.0, 0.125, 60))
         assert threading.active_count() == before
-        assert len(rows_off_main) < 40  # two workers' share of 60 rows
+        assert sum(rows_off_main) < 40  # two workers' share of 60 rows
 
     def test_failed_thread_start_joins_the_started_ones(self, monkeypatch):
         started = []
