@@ -35,7 +35,7 @@ from multiscale import wavelet
 
 
 def force_workers(w: int) -> None:
-    wavelet._worker_count = lambda rows, length: min(w, rows)
+    wavelet._worker_count = lambda rows, size, floor: min(w, rows)
 
 
 def timing(reps: int) -> list[dict]:

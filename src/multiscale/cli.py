@@ -150,20 +150,19 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
     if seed < 0:
         raise errors.InvalidParameter("seed must be >= 0")
     if kind == "white":
-        ts = signal_core.gen_white_noise(n, seed)
+        x = signal_core.gen_white_noise(n, seed).samples
     elif kind == "fgn":
-        ts = signal_core.gen_fgn(n, params.get("h", 0.5, float), seed)
+        x = signal_core.gen_fgn(n, params.get("h", 0.5, float), seed).samples
     elif kind == "cascade":
-        ts = signal_core.gen_binomial_cascade(
+        x = signal_core.gen_binomial_cascade(
             params.get("levels", 16, int), params.get("p", 0.6, float),
-            seed, shuffle=params.get("shuffle", False, _parse_bool))
+            seed, shuffle=params.get("shuffle", False, _parse_bool)).samples
     elif kind == "sine":
         f = params.get("f", None, float)
         if f is None:
             raise errors.InvalidParameter("sine needs --f")
-        ts = signal_core.gen_sine(n, dt, f,
-                                  amp=params.get("amp", 1.0, float),
-                                  phase=params.get("phase", 0.0, float))
+        x = signal_core.gen_sine(n, dt, f, amp=params.get("amp", 1.0, float),
+                                 phase=params.get("phase", 0.0, float)).samples
     elif kind == "sines":
         freqs = params.get("f", None, _parse_float_list)
         if not freqs:
@@ -173,9 +172,9 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
             raise errors.InvalidParameter("--amp list must match --f list")
         x = sum((signal_core.gen_sine(n, dt, f, amp=a).samples
                  for f, a in zip(freqs, amps)), np.zeros(n))
-        ts = signal_core.TimeSeries(x, dt=dt)
     else:
         raise errors.InvalidParameter(f"unknown generator kind: {kind}")
+    ts = signal_core.TimeSeries(x, dt=dt)
     name = params.get("output", kind + ".csv")
     return ({"kind": kind, "n": ts.n, "dt": ts.dt, "file": None},
             [Artifact(name, None, _whole(ts.to_csv))])

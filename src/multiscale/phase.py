@@ -61,8 +61,6 @@ class PhaseDiffResult:
 def phase_at_scale(ts: TimeSeries, scale: float,
                    params: MorletParams = MorletParams()) -> PhaseSeries:
     """Instantaneous phase of the complex Morlet coefficients at one scale."""
-    if not 2.0 * ts.dt <= scale <= ts.n * ts.dt / 4.0:
-        raise InvalidParameter("scale must lie in [2*dt, N*dt/4]")
     sg = cwt_morlet(ts, grid=ScaleGrid(s0=scale, dj=0.125, J=1), params=params)
     wrapped = np.angle(sg.coeffs[0])
     unwrapped = np.unwrap(wrapped)
@@ -77,6 +75,8 @@ def phase_difference(a: PhaseSeries, b: PhaseSeries) -> PhaseDiffResult:
         raise InputError("phase series lengths differ")
     if not np.isclose(a.scale, b.scale):
         raise InputError("phase series scales differ")
+    if not np.isclose(a.dt, b.dt):
+        raise InputError("phase series sampling intervals differ")
     delta = wrap_phase(a.wrapped - b.wrapped)
     return PhaseDiffResult(delta=delta, coi_valid=a.coi_valid & b.coi_valid,
                            scale=a.scale, dt=a.dt)

@@ -96,7 +96,8 @@ def load_csv(source, dt: float | None = None) -> TimeSeries:
     sampled (relative jitter below 1e-6); single-column input takes ``dt``
     from the argument (default 1.0). Comma and whitespace delimiters are
     both accepted. Cells are read by numpy's text parser: decimal or
-    scientific literals, ``nan`` and ``inf``, in ASCII digits.
+    scientific literals, ``nan`` and ``inf``, in ASCII digits. A leading
+    UTF-8 byte-order mark is ignored.
     """
     try:
         if hasattr(source, "read"):
@@ -106,6 +107,7 @@ def load_csv(source, dt: float | None = None) -> TimeSeries:
         raise InputError(f"byte {exc.start}: input is not UTF-8 text") from None
     if not isinstance(text, str):
         raise InputError("unsupported CSV source type")
+    text = text.removeprefix("\ufeff")  # after decoding, so "byte N" counts it
 
     lines = text.replace(",", " ").splitlines()
     with warnings.catch_warnings():

@@ -23,15 +23,15 @@ PSI0_ZERO = np.pi ** (-0.25)
 
 # Shortest padded transform length that is split over threads: below it
 # each row's FFT is too short to pay for handing the GIL between threads.
-# scripts/cwt_threads.py on a 2-core host: two threads took 1.2-1.9x as long
-# as one at 512-2048 points, about as long at 4096 and 1.4-1.5x less at 8192.
-# No benchmark workload transforms fewer than 16384 points.
+# scripts/cwt_threads.py on a 2-core host, two runs: two threads ran at
+# 0.5-0.9x the speed of one at 512-2048 points, 0.82x and 1.21x at 4096 and
+# 1.45-1.51x at 8192. No benchmark workload transforms fewer than 16384 points.
 _THREADED_MIN_LENGTH = 4096
 # Most threads per transform, and most processes per scalogram CSV. Each
 # thread holds its own buffers: at n = 2**16 (131072 points, 105 scales) the
-# transform added 120/133/151/182/269 MB of peak RSS with 1/2/4/8/16 workers
-# (same script), so large hosts, and CPU counts that ignore cgroup quotas,
-# cost at most ~18 MB over two workers. Speed-ups beyond 2 CPUs are
+# transform added about 121/132/157/184/263 MB of peak RSS with 1/2/4/8/16
+# workers (same script), so large hosts, and CPU counts that ignore cgroup
+# quotas, cost at most ~25 MB over two workers. Speed-ups beyond 2 CPUs are
 # unmeasured.
 _MAX_WORKERS = 4
 # Scale rows per inverse FFT call: numpy transforms a call's rows together in
@@ -164,20 +164,11 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(rows: int, length: int) -> int:
-    """Threads for a transform of ``rows`` scales at padded ``length``: one
-    per available CPU, at most ``_MAX_WORKERS`` and ``rows``, and one below
-    ``_THREADED_MIN_LENGTH``."""
-    if length < _THREADED_MIN_LENGTH:
-        return 1
-    return max(1, min(_cpu_count(), _MAX_WORKERS, rows))
-
-
-def _csv_worker_count(rows: int, n: int) -> int:
-    """Processes that format the CSV of ``rows`` scales by ``n`` times: one
-    per available CPU, at most ``_MAX_WORKERS`` and ``rows``, and one below
-    ``_CSV_SPLIT_MIN_LINES`` lines or where processes cannot be forked."""
-    if rows * n < _CSV_SPLIT_MIN_LINES or not hasattr(os, "fork"):
+def _worker_count(rows: int, size: int, floor: int) -> int:
+    """Workers that split ``rows`` scale rows of a job of ``size``: one per
+    available CPU, at most ``_MAX_WORKERS`` and ``rows``, and one below
+    ``floor``."""
+    if size < floor:
         return 1
     return max(1, min(_cpu_count(), _MAX_WORKERS, rows))
 
@@ -230,7 +221,7 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     # worker k fills rows k, k+w, k+2w, ...; numpy's FFT and ufuncs release
     # the GIL and each worker writes only its own rows, so the result does
     # not depend on w. Worker 0 is the calling thread.
-    w = _worker_count(grid.J, m)
+    w = _worker_count(grid.J, m, _THREADED_MIN_LENGTH)
     failed: list[BaseException] = []
 
     def rows(first: int) -> None:
@@ -339,7 +330,7 @@ def significance_mask(sg: Scalogram, level: float = 0.95) -> SignificanceMask:
     rho = sg.src_lag1
     if not np.isfinite(rho) or not np.isfinite(sg.src_var):
         raise InvalidParameter("scalogram lacks source statistics")
-    freq = sg.dt / (sg.params.fourier_factor * sg.scales)  # cycles per sample
+    freq = sg.dt / sg.periods()  # cycles per sample
     background = (1.0 - rho * rho) / (
         1.0 + rho * rho - 2.0 * rho * np.cos(2.0 * np.pi * freq))
     threshold = sg.src_var * background * _chi2_ppf_2dof(level) / 2.0
@@ -435,17 +426,18 @@ def scalogram_csv_chunks(sg: Scalogram, mask: SignificanceMask):
     """:func:`scalogram_to_csv` one scale row per chunk, in scale order.
 
     From ``_CSV_SPLIT_MIN_LINES`` lines on, w processes format the rows
-    (``_csv_worker_count``): forked worker i formats rows k with k % w == i,
-    the calling process the rows with k % w == 0. A worker formats its next
-    row only once the caller has read the last one, so at most w rows are in
-    flight and the text is never held whole. A Python warning raised in a
-    worker is raised again here, in row order, as its row is yielded; a
-    worker's exception is raised here, and a worker that dies raises
-    OSError. The workers are stopped when the generator ends, fails or is
-    closed.
+    (``_worker_count``; one where processes cannot be forked): forked worker
+    i formats rows k with k % w == i, the calling process the rows with
+    k % w == 0. A worker formats its next row only once the caller has read
+    the last one, so at most w rows are in flight and the text is never held
+    whole. A Python warning raised in a worker is raised again here, in row
+    order, as its row is yielded; a worker's exception is raised here, and a
+    worker that dies raises OSError. The workers are stopped when the
+    generator ends, fails or is closed.
     """
     j = len(sg.scales)
-    w = _csv_worker_count(j, sg.n)
+    w = (_worker_count(j, j * sg.n, _CSV_SPLIT_MIN_LINES)
+         if hasattr(os, "fork") else 1)
     conns, workers = [], []
     try:
         if w > 1:

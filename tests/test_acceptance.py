@@ -305,7 +305,8 @@ def test_8_cli_determinism(capsys, tmp_path):
     ]
     # the unpinned cwt run splits its rows over this many threads
     workers = wavelet._worker_count(ScaleGrid.default_for(8192, 1.0).J,
-                                    wavelet._pad_length(8192))
+                                    wavelet._pad_length(8192),
+                                    wavelet._THREADED_MIN_LENGTH)
     checks = [(f"cwt workers: {workers} unpinned vs 1 pinned on "
                f"{len(cpus)} CPU(s)", workers > 1 or len(cpus) == 1)]
     for name, argv in fixtures:

@@ -69,6 +69,22 @@ class TestGen:
         assert payload["code"] == 2
         assert "detail" in payload
 
+    def test_every_kind_is_sampled_at_dt(self, tmp_path, capsys):
+        for kind in (["white"], ["fgn", "--h", "0.7"],
+                     ["cascade", "--levels", "3"], ["sine", "--f", "0.1"],
+                     ["sines", "--f", "0.1,0.2"]):
+            series = {}
+            for dt in ("1", "0.5"):
+                code, out, err = run(capsys, "gen", *kind, "--n", "8",
+                                     "--dt", dt, "--out", str(tmp_path / dt))
+                assert code == 0, err
+                assert last_json(out)["dt"] == float(dt)
+                series[dt] = np.loadtxt(last_json(out)["file"], delimiter=",")
+            times, values = series["0.5"].T
+            assert np.array_equal(times, np.arange(times.size) * 0.5)
+            if kind[0] not in ("sine", "sines"):  # a sine is sampled at dt
+                assert np.array_equal(values, series["1"][:, 1])
+
     def test_sine_without_f_exit_2(self, tmp_path, capsys):
         code, out, err = run(capsys, "gen", "sine", "--out", str(tmp_path))
         assert code == 2
@@ -505,19 +521,21 @@ class TestWarnings:
     def test_warnings_of_csv_worker_processes_are_caught(self, pair, tmp_path,
                                                          capfd, monkeypatch):
         to_csv = wavelet.scalogram_to_csv
-        count = wavelet._csv_worker_count
+        count = wavelet._worker_count
         used = []
 
         def warning_to_csv(sg, mask, rows=slice(None)):
             warnings.warn(f"row {rows.start}")
             return to_csv(sg, mask, rows)
 
-        def recorded_count(rows, n):
-            used.append(count(rows, n))
+        def recorded_count(rows, size, floor):
+            if floor != wavelet._CSV_SPLIT_MIN_LINES:  # the transform's split
+                return count(rows, size, floor)
+            used.append(count(rows, size, floor))
             return used[-1]
 
         monkeypatch.setattr(wavelet, "scalogram_to_csv", warning_to_csv)
-        monkeypatch.setattr(wavelet, "_csv_worker_count", recorded_count)
+        monkeypatch.setattr(wavelet, "_worker_count", recorded_count)
         monkeypatch.setattr(wavelet, "_CSV_SPLIT_MIN_LINES", 0)
         summaries = []
         for cpus in ({0}, {0, 1, 2}):
@@ -691,7 +709,7 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
         white(256), wavelet.ScaleGrid(2.0, 0.6, 20)), 2,
      "largest scale exceeds a quarter of the record"),
     ("ScaleOutOfRange", lambda: ms.phase_at_scale(white(256), 0.5), 2,
-     "scale must lie in [2*dt, N*dt/4]"),
+     "smallest scale is below 2*dt"),
     ("BadOrder", lambda: ms.dwt(np.zeros(64), 11, 1), 2,
      "Daubechies order must be in 1..10"),
     ("TooShort", lambda: ms.load_csv("1.0"), 3, "need at least 2 rows"),
@@ -705,6 +723,10 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
     ("ScaleMismatch", lambda: ms.phase_difference(
         ms.phase_at_scale(white(1024), 32.0),
         ms.phase_at_scale(white(1024), 48.0)), 3, "phase series scales differ"),
+    ("SamplingMismatch", lambda: ms.phase_difference(
+        ms.phase_at_scale(white(1024), 32.0),
+        ms.phase_at_scale(ms.TimeSeries(white(1024).samples, dt=2.0), 32.0)),
+     3, "phase series sampling intervals differ"),
     ("DegenerateWindow", lambda: ms.rescaled_range(
         ms.TimeSeries(np.ones(512)), [8, 16, 32, 64]), 4,
      "zero std in a window of size 8"),
@@ -879,18 +901,16 @@ class TestDeterminism:
         run(capsys, "gen", "sines", "--f", "0.015625,0.004", "--n", "4096",
             "--out", str(tmp_path))
         src = str(tmp_path / "sines.csv")
-        counts = {"_worker_count": [], "_csv_worker_count": []}
+        # the transform's thread counts, then the CSV's process counts
+        counts = {wavelet._THREADED_MIN_LENGTH: [],
+                  wavelet._CSV_SPLIT_MIN_LINES: []}
+        count = wavelet._worker_count
 
-        def recorded(name):
-            count = getattr(wavelet, name)
+        def recorded_count(rows, size, floor):
+            counts[floor].append(count(rows, size, floor))
+            return counts[floor][-1]
 
-            def recorded_count(rows, length):
-                counts[name].append(count(rows, length))
-                return counts[name][-1]
-            return recorded_count
-
-        for name in counts:
-            monkeypatch.setattr(wavelet, name, recorded(name))
+        monkeypatch.setattr(wavelet, "_worker_count", recorded_count)
         for command, csv_workers in ((["cwt", src], [1, 4]),
                                      (["phase", src], [None, None])):
             written, stdout, most = [], [], []

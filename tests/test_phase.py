@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multiscale as ms
@@ -42,11 +42,51 @@ class TestPhaseAtScale:
     def test_scale_out_of_range(self):
         ts = ms.gen_white_noise(256, 0)
         with pytest.raises(errors.InvalidParameter,
-                           match=r"scale must lie in \[2\*dt, N\*dt/4\]"):
+                           match=r"smallest scale is below 2\*dt"):
             ms.phase_at_scale(ts, 0.5)
         with pytest.raises(errors.InvalidParameter,
-                           match=r"scale must lie in \[2\*dt, N\*dt/4\]"):
+                           match="largest scale exceeds a quarter"):
             ms.phase_at_scale(ts, 1000.0)
+        for bad in (0.0, -4.0, np.nan, np.inf):
+            with pytest.raises(errors.InvalidParameter,
+                               match="need finite s0"):
+                ms.phase_at_scale(ts, bad)
+        # a short series is reported first, whatever the scale
+        with pytest.raises(errors.InputError,
+                           match="need at least 32 samples"):
+            ms.phase_at_scale(ms.gen_white_noise(31, 0), 1000.0)
+
+    @given(st.integers(32, 4096),
+           st.floats(1e-3, 1e3),
+           st.one_of(st.tuples(st.sampled_from(["floor", "ceiling"]),
+                               st.integers(-30, 30)),
+                     st.tuples(st.just("interior"), st.floats(0.0, 1.0))))
+    @settings(max_examples=60, deadline=None)
+    # within the 1e-12 slack of each bound: cwt_morlet accepts both
+    @example(1024, 1.0, ("floor", -1))
+    @example(1024, 1.0, ("ceiling", 1))
+    def test_phase_refuses_exactly_the_scales_cwt_refuses(self, n, dt, pick):
+        """One scale rule: phase_at_scale and a one-scale cwt_morlet accept
+        and refuse the same scales, with the same error class."""
+        ts = ms.TimeSeries(ms.gen_white_noise(n, 0).samples, dt=dt)
+        where, k = pick
+        floor, ceiling = 2.0 * dt, n * dt / 4.0
+        if where == "floor":
+            scale = floor * (1.0 + k * 1e-13)
+        elif where == "ceiling":
+            scale = ceiling * (1.0 + k * 1e-13)
+        else:
+            scale = floor * (ceiling / floor) ** k
+
+        def outcome(call):
+            try:
+                call()
+            except errors.MultiscaleError as exc:
+                return type(exc)
+            return None
+
+        assert outcome(lambda: ms.phase_at_scale(ts, scale)) == outcome(
+            lambda: ms.cwt_morlet(ts, ms.ScaleGrid(scale, 0.125, 1)))
 
 
 class TestPhaseDifference:
@@ -95,6 +135,17 @@ class TestPhaseDifference:
         with pytest.raises(errors.InputError,
                            match="phase series scales differ"):
             ms.phase_difference(pa, pb)
+
+    def test_sampling_interval_mismatch(self):
+        # the same samples, stamped 0, 1, 2, ... and 0, 2, 4, ...
+        a = ms.gen_fgn(1024, 0.7, 0)
+        b = ms.TimeSeries(a.samples, dt=2.0)
+        pa, pb = ms.phase_at_scale(a, 16.0), ms.phase_at_scale(b, 16.0)
+        with pytest.raises(errors.InputError,
+                           match="phase series sampling intervals differ"):
+            ms.phase_difference(pa, pb)
+        assert ms.phase_difference(pa, ms.phase_at_scale(
+            ms.TimeSeries(a.samples, dt=1.0 + 1e-12), 16.0)).dt == 1.0
 
 
 class TestReconstructBand:

@@ -30,6 +30,16 @@ class TestLoadCsv:
         ts = ms.load_csv(io.BytesIO(b"0.0,1.0\n1.0,2.0\n2.0,3.0"))
         assert ts.n == 3
 
+    @pytest.mark.parametrize("source", [b"\xef\xbb\xbf1.0\n2.0\n3.0\n",
+                                        "\ufeff1.0\n2.0\n3.0\n"])
+    def test_leading_byte_order_mark_is_ignored(self, source):
+        assert ms.load_csv(source).samples.tolist() == [1.0, 2.0, 3.0]
+
+    def test_bad_byte_after_a_byte_order_mark_counts_it(self):
+        for data, at in ((b"1\n\xff", 2), (b"\xef\xbb\xbf1\n\xff", 5)):
+            with pytest.raises(errors.InputError, match=f"^byte {at}: "):
+                ms.load_csv(data)
+
     def test_non_uniform(self):
         with pytest.raises(errors.InputError, match="not uniformly spaced"):
             ms.load_csv("0,1\n1,2\n2.5,3")

@@ -362,9 +362,10 @@ class TestCwtThreads:
 
     def test_workers_capped_on_many_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert wavelet._worker_count(105, 131072) == wavelet._MAX_WORKERS
-        assert wavelet._worker_count(2, 131072) == 2
-        assert wavelet._worker_count(105, 2048) == 1
+        floor, most = wavelet._THREADED_MIN_LENGTH, wavelet._MAX_WORKERS
+        assert wavelet._worker_count(105, 131072, floor) == most
+        assert wavelet._worker_count(2, 131072, floor) == 2
+        assert wavelet._worker_count(105, 2048, floor) == 1
 
     def test_stress_more_workers_than_cores(self, monkeypatch):
         # 8 workers on a short switch interval: a row lost or written twice
@@ -645,7 +646,8 @@ class TestSerialization:
         # one row per chunk, also when forked workers format all but every
         # third row, whatever the size
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wavelet, "_csv_worker_count", lambda j, n: min(3, j))
+            mp.setattr(wavelet, "_worker_count",
+                       lambda j, size, floor: min(3, j))
             assert list(scalogram_csv_chunks(sg, mask)) == rows
 
     def test_record_without_times_has_no_lines(self):
