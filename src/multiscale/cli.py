@@ -144,6 +144,8 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
     kind = params.get("kind")
     dt = params.get("dt", 1.0, float)
     seed = params.get("seed", 0, int)
+    if kind == "cascade" and params.get("n") is not None:
+        raise errors.InvalidParameter("cascade takes its length from --levels")
     n = params.get("n", 4096, int)
     if n < 2:
         raise errors.InvalidParameter("n must be >= 2")
@@ -256,18 +258,13 @@ def cmd_mfdfa(params: Params, ts) -> tuple[dict, list[Artifact]]:
             _csv_json(".mfdfa", res.to_csv, res.to_json))
 
 
-def _make_grid(params: Params, ts) -> wavelet.ScaleGrid:
-    s0 = params.get("s0", 2.0 * ts.dt, lambda raw: _parse_scale(raw, ts.dt))
-    dj = params.get("dj", 0.125, float)
-    j_tot = params.get("jtot", None, int)
-    if j_tot is None:
-        return wavelet.ScaleGrid.default_for(ts.n, ts.dt, s0=s0, dj=dj)
-    return wavelet.ScaleGrid(s0=s0, dj=dj, J=j_tot)
-
-
 def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
     mp = wavelet.MorletParams(omega0=params.get("omega0", 6.0, float))
-    sg = wavelet.cwt_morlet(ts, grid=_make_grid(params, ts), params=mp)
+    grid = wavelet.ScaleGrid.default_for(
+        ts.n, ts.dt,
+        s0=params.get("s0", None, lambda raw: _parse_scale(raw, ts.dt)),
+        dj=params.get("dj", 0.125, float), J=params.get("jtot", None, int))
+    sg = wavelet.cwt_morlet(ts, grid=grid, params=mp)
     level = params.get("sig", 0.95, float)
     mask = wavelet.significance_mask(sg, level)
     gws = wavelet.global_spectrum(sg)

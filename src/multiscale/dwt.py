@@ -101,15 +101,12 @@ def _idwt1_sym(ca: np.ndarray, cd: np.ndarray, rec_lo: np.ndarray,
     return y[length - 2 : length - 2 + n_out]
 
 
-def dwt(ts: TimeSeries | np.ndarray, order: int, levels: int) -> DWTCoeffs:
+def dwt(ts: TimeSeries, order: int, levels: int) -> DWTCoeffs:
     """Mallat pyramid decomposition with symmetric boundary extension.
 
     ``levels`` must satisfy levels <= floor(log2(N / filter_length)).
     """
-    if isinstance(ts, TimeSeries):
-        x, dt = ts.samples, ts.dt
-    else:
-        x, dt = np.asarray(ts, dtype=np.float64), 1.0
+    x = ts.samples
     length = filter_length(order)
     if levels < 1:
         raise InvalidParameter("levels must be >= 1")
@@ -125,7 +122,7 @@ def dwt(ts: TimeSeries | np.ndarray, order: int, levels: int) -> DWTCoeffs:
         a, d = _dwt1_sym(a, dec_lo, dec_hi)
         details.append(d)
     return DWTCoeffs(approx=a, details=tuple(details), order=order,
-                     lengths=tuple(lengths), dt=dt)
+                     lengths=tuple(lengths), dt=ts.dt)
 
 
 def idwt(coeffs: DWTCoeffs) -> TimeSeries:

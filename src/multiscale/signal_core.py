@@ -215,10 +215,7 @@ def gen_binomial_cascade(levels: int, p: float, seed: int = 0,
     if not 0.0 < p < 1.0:
         raise InvalidParameter("p must be in (0, 1)")
 
-    ones = np.zeros(1, dtype=np.uint8)
-    for _ in range(levels):
-        ones = np.concatenate([ones, ones + 1])
-    b = ones.astype(np.float64)
+    b = np.bitwise_count(np.arange(2 ** levels, dtype=np.uint32)).astype(float)
     x = (2.0 ** levels) * p ** (levels - b) * (1.0 - p) ** b
     if shuffle:
         rng = np.random.default_rng(seed)

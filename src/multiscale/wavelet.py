@@ -89,8 +89,13 @@ class ScaleGrid:
 
     @classmethod
     def default_for(cls, n: int, dt: float, s0: float | None = None,
-                    dj: float = 0.125) -> "ScaleGrid":
-        grid = cls(s0=2.0 * dt if s0 is None else s0, dj=dj, J=1)
+                    dj: float = 0.125, J: int | None = None) -> "ScaleGrid":
+        """Scales from ``s0`` (default: the smallest, 2 dt) in steps of
+        ``dj`` octaves: ``J`` of them, or by default as many as fit in a
+        quarter of the ``n`` samples' record."""
+        grid = cls(s0=_smallest_scale(dt) if s0 is None else s0, dj=dj, J=1)
+        if J is not None:
+            return replace(grid, J=J)
         ratio = n * dt / (4.0 * grid.s0)
         if not np.isfinite(ratio):  # n dt or 4 s0 overflows
             ratio = n / 4.0 * (dt / grid.s0)
@@ -139,6 +144,12 @@ def morlet_spectrum(omega: np.ndarray, scale: float, omega0: float) -> np.ndarra
     return np.where(omega > 0, out, 0.0)
 
 
+def _smallest_scale(dt: float) -> float:
+    """The default smallest scale and the floor of every grid: below about
+    1.9 dt a Morlet scale's centre frequency is above Nyquist."""
+    return 2.0 * dt
+
+
 def _pad_length(n: int) -> int:
     return 1 << int(np.ceil(np.log2(n + 1)))
 
@@ -174,33 +185,26 @@ def _worker_count(rows: int, size: int, floor: int) -> int:
 
 
 def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
-               params: MorletParams = MorletParams(),
-               pad: str = "zero") -> Scalogram:
-    """FFT-domain continuous Morlet transform.
-
-    With ``pad='zero'`` the signal is zero-padded to the next power of two
-    and truncated back; ``pad='periodic'`` performs the circular transform
-    at the native length (exact time-shift covariance).
-    """
+               params: MorletParams = MorletParams()) -> Scalogram:
+    """FFT-domain continuous Morlet transform (Torrence & Compo 1998): the
+    signal is zero-padded to the power of two above its length, and the
+    coefficients are truncated back to it."""
     n = ts.n
     if n < 32:
         raise InputError("need at least 32 samples")
     if grid is None:
         grid = ScaleGrid.default_for(n, ts.dt)
-    # below about 1.9 dt a Morlet scale's centre frequency is above Nyquist
-    if grid.s0 < 2.0 * ts.dt * (1.0 - 1e-12):
+    if grid.s0 < _smallest_scale(ts.dt) * (1.0 - 1e-12):
         raise InvalidParameter("smallest scale is below 2*dt")
     # in log2 space, before any array of J scales exists
     if (math.log2(grid.s0) + grid.dj * (grid.J - 1)
             > math.log2(n * ts.dt / 4.0) + math.log2(1.0 + 1e-12)):
         raise InvalidParameter("largest scale exceeds a quarter of the record")
-    if pad not in ("zero", "periodic"):
-        raise InvalidParameter("pad must be 'zero' or 'periodic'")
     if 16 * grid.J * n > _physical_memory():
         raise MemoryError(f"{grid.J} x {n} coefficients exceed physical memory")
     scales = grid.scales
 
-    m = _pad_length(n) if pad == "zero" else n
+    m = _pad_length(n)
     # the Morlet spectrum is zero at omega <= 0, and exp(-arg**2 / 2) is 0.0
     # from |arg| = 38.61 on: row j's product is zero outside the positive
     # bins omega[lo[j]:hi[j]], those with |s_j * omega - omega0| <= 40

@@ -70,12 +70,13 @@ class TestGen:
         assert "detail" in payload
 
     def test_every_kind_is_sampled_at_dt(self, tmp_path, capsys):
-        for kind in (["white"], ["fgn", "--h", "0.7"],
-                     ["cascade", "--levels", "3"], ["sine", "--f", "0.1"],
-                     ["sines", "--f", "0.1,0.2"]):
+        for kind in (["white", "--n", "8"], ["fgn", "--h", "0.7", "--n", "8"],
+                     ["cascade", "--levels", "3"],
+                     ["sine", "--f", "0.1", "--n", "8"],
+                     ["sines", "--f", "0.1,0.2", "--n", "8"]):
             series = {}
             for dt in ("1", "0.5"):
-                code, out, err = run(capsys, "gen", *kind, "--n", "8",
+                code, out, err = run(capsys, "gen", *kind,
                                      "--dt", dt, "--out", str(tmp_path / dt))
                 assert code == 0, err
                 assert last_json(out)["dt"] == float(dt)
@@ -84,6 +85,21 @@ class TestGen:
             assert np.array_equal(times, np.arange(times.size) * 0.5)
             if kind[0] not in ("sine", "sines"):  # a sine is sampled at dt
                 assert np.array_equal(values, series["1"][:, 1])
+
+    @pytest.mark.parametrize("how", ["flag", "gen.n", "n"])
+    def test_cascade_refuses_a_length(self, tmp_path, capsys, how):
+        argv = ["gen", "cascade", "--levels", "4", "--out", str(tmp_path)]
+        if how == "flag":
+            argv += ["--n", "16"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{how} = 16\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["detail"] == \
+            "cascade takes its length from --levels"
+        assert not (tmp_path / "cascade.csv").exists()
 
     def test_sine_without_f_exit_2(self, tmp_path, capsys):
         code, out, err = run(capsys, "gen", "sine", "--out", str(tmp_path))
@@ -323,6 +339,16 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert json.loads(err)["code"] == want
         assert not (tmp_path / "out").exists()
+
+    def test_jtot_is_not_checked_against_a_default_grid(self, pair, tmp_path,
+                                                        capsys):
+        # dj = 1e-300 alone gives a J beyond the header; --jtot replaces it
+        code, out, err = run(capsys, "cwt", pair[0], "--dj", "1e-300",
+                             "--jtot", "10", "--format", "json",
+                             "--out", str(tmp_path))
+        assert code == 0, err
+        sg = wavelet.scalogram_from_bytes((tmp_path / "a.cwt.mscl").read_bytes())
+        assert sg.coeffs.shape[0] == 10
 
     @pytest.mark.parametrize("n", ["1", "0", "-5"])
     def test_gen_short_n_exit_2(self, tmp_path, capsys, n):
@@ -710,7 +736,7 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
      "largest scale exceeds a quarter of the record"),
     ("ScaleOutOfRange", lambda: ms.phase_at_scale(white(256), 0.5), 2,
      "smallest scale is below 2*dt"),
-    ("BadOrder", lambda: ms.dwt(np.zeros(64), 11, 1), 2,
+    ("BadOrder", lambda: ms.dwt(ms.TimeSeries(np.zeros(64)), 11, 1), 2,
      "Daubechies order must be in 1..10"),
     ("TooShort", lambda: ms.load_csv("1.0"), 3, "need at least 2 rows"),
     ("Malformed", lambda: ms.load_csv("1\n , \n2\n3"), 3,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from multiscale import errors
+from multiscale import TimeSeries, errors
 from multiscale.dwt import (
     boundary_margin,
     dwt,
@@ -23,7 +23,7 @@ def test_perfect_reconstruction(order, data):
         1, int(np.floor(np.log2(n / filter_length(order))))), label="levels")
     x = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))
                               ).standard_normal(n)
-    rec = idwt(dwt(x, order, levels)).samples
+    rec = idwt(dwt(TimeSeries(x), order, levels)).samples
     assert np.max(np.abs(rec - x)) < 1e-10 * np.max(np.abs(x))
 
 
@@ -31,19 +31,19 @@ def test_perfect_reconstruction(order, data):
 def test_reconstruction_odd_lengths_symmetric(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n)
-    rec = idwt(dwt(x, 3, 2)).samples
+    rec = idwt(dwt(TimeSeries(x), 3, 2)).samples
     assert np.max(np.abs(rec - x)) < 1e-10
 
 
 def test_haar_hand_computed():
-    coeffs = dwt(np.array([1.0, 1.0, 2.0, 2.0]), 1, 1)
+    coeffs = dwt(TimeSeries([1.0, 1.0, 2.0, 2.0]), 1, 1)
     assert np.allclose(coeffs.approx, [np.sqrt(2), 2 * np.sqrt(2)])
     assert np.allclose(coeffs.details[0], [0.0, 0.0])
 
 
 def test_db2_annihilates_linear_ramp():
     x = np.linspace(0.0, 1.0, 256)
-    coeffs = dwt(x, 2, 1)
+    coeffs = dwt(TimeSeries(x), 2, 1)
     interior = coeffs.details[0][3:-3]
     assert np.max(np.abs(interior)) < 1e-10
 
@@ -59,7 +59,7 @@ def test_filter_orthonormality():
 
 
 def test_trend_extraction_zero_signal():
-    coeffs = dwt(np.zeros(128), 4, 2)
+    coeffs = dwt(TimeSeries(np.zeros(128)), 4, 2)
     trend = idwt(zero_details(coeffs)).samples
     assert np.allclose(trend, 0.0)
 
@@ -67,7 +67,7 @@ def test_trend_extraction_zero_signal():
 def test_bad_order():
     with pytest.raises(errors.InvalidParameter,
                        match=r"Daubechies order must be in 1\.\.10"):
-        dwt(np.zeros(64), 11, 1)
+        dwt(TimeSeries(np.zeros(64)), 11, 1)
     with pytest.raises(errors.InvalidParameter,
                        match=r"Daubechies order must be in 1\.\.10"):
         filter_length(0)
@@ -76,7 +76,7 @@ def test_bad_order():
 def test_too_many_levels():
     with pytest.raises(errors.InputError,
                        match="series too short for this order/levels"):
-        dwt(np.zeros(64), 10, 3)  # filter length 20, N/L = 3.2
+        dwt(TimeSeries(np.zeros(64)), 10, 3)  # filter length 20, N/L = 3.2
 
 
 def test_boundary_margin_grows_with_level():

@@ -85,31 +85,6 @@ class TestCwtBasics:
         assert np.max(np.abs(wab - (2.0 * wa - 3.0 * wb))) < 1e-10 * np.max(
             np.abs(wab))
 
-    def test_time_shift_covariance_periodic(self):
-        x = ms.gen_white_noise(512, 4).samples
-        grid = ScaleGrid(6.0, 0.25, 10)
-        w0 = ms.cwt_morlet(ms.TimeSeries(x), grid, pad="periodic").coeffs
-        k = 37
-        wk = ms.cwt_morlet(ms.TimeSeries(np.roll(x, k)), grid,
-                           pad="periodic").coeffs
-        err = np.max(np.abs(np.roll(w0, k, axis=1) - wk))
-        assert err < 1e-9 * np.max(np.abs(w0))
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(32, 1024), shift=st.integers(-2048, 2048),
-           dt=st.floats(1e-3, 10.0), dj=st.floats(0.05, 1.0),
-           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_time_shift_covariance_periodic_any_grid(self, n, shift, dt, dj,
-                                                     seed, data):
-        j_max = ScaleGrid.default_for(n, dt, dj=dj).J
-        grid = ScaleGrid(2.0 * dt, dj, data.draw(st.integers(1, min(j_max, 16))))
-        x = np.random.default_rng(seed).standard_normal(n)
-        w0 = ms.cwt_morlet(ms.TimeSeries(x, dt=dt), grid, pad="periodic").coeffs
-        wk = ms.cwt_morlet(ms.TimeSeries(np.roll(x, shift), dt=dt), grid,
-                           pad="periodic").coeffs
-        err = np.max(np.abs(np.roll(w0, shift, axis=1) - wk))
-        assert err < 1e-9 * np.max(np.abs(w0))
-
     def test_coi_symmetric(self):
         sg = ms.cwt_morlet(ms.gen_white_noise(300, 0))
         assert np.allclose(sg.coi, sg.coi[::-1])
@@ -152,6 +127,12 @@ class TestCwtBasics:
     def test_default_grid_rejects_j_outside_the_header_field(self, dj):
         with pytest.raises(errors.InvalidParameter):
             ScaleGrid.default_for(4096, 1.0, dj=dj)
+
+    def test_default_grid_takes_a_given_j(self):
+        # the J that dj = 1e-300 would give does not fit the header field
+        grid = ScaleGrid.default_for(4096, 1.0, dj=1e-300, J=10)
+        assert (grid.s0, grid.dj, grid.J) == (2.0, 1e-300, 10)
+        assert ScaleGrid.default_for(4096, 0.5, J=3) == ScaleGrid(1.0, 0.125, 3)
 
     def test_default_grid_of_an_underflowed_ratio_is_one_scale(self):
         # n dt / (4 s0) underflows to 0: no log2 warning, and cwt_morlet
@@ -227,9 +208,8 @@ class TestCwtBasics:
 
     @settings(max_examples=200, deadline=None)
     @given(omega0=st.floats(5.0, 46.0), dt=st.floats(1e-3, 10.0),
-           n=st.integers(32, 2 ** 13), pad=st.sampled_from(["zero", "periodic"]),
-           frac=st.floats(0.0, 1.0))
-    def test_filter_is_zero_outside_its_band(self, omega0, dt, n, pad, frac):
+           n=st.integers(32, 2 ** 13), frac=st.floats(0.0, 1.0))
+    def test_filter_is_zero_outside_its_band(self, omega0, dt, n, frac):
         # s from 2 dt to n dt / 4; the bins the transform leaves out of the
         # filter must be those where the full-width filter is exactly 0.0
         s = min(2.0 * dt * (n / 8.0) ** frac, n * dt / 4.0)
@@ -243,10 +223,10 @@ class TestCwtBasics:
             mp.setattr(wavelet, "morlet_spectrum", spy)
             try:
                 ms.cwt_morlet(ms.TimeSeries(np.ones(n), dt=dt),
-                              ScaleGrid(s, 0.125, 1), MorletParams(omega0), pad)
+                              ScaleGrid(s, 0.125, 1), MorletParams(omega0))
             except errors.InvalidParameter:  # refused: no bin is in the band
                 assert not band
-        m = _pad_length(n) if pad == "zero" else n
+        m = _pad_length(n)
         omega = 2.0 * np.pi * np.fft.fftfreq(m, dt)[1:(m + 1) // 2]
         outside = omega[~np.isin(omega, band)]
         assert np.all(morlet_spectrum(outside, s, omega0) == 0.0)
@@ -261,12 +241,12 @@ class TestCwtBasics:
             MorletParams(omega0=omega0)
 
 
-def full_spectrum_cwt(ts, grid, params, pad):
+def full_spectrum_cwt(ts, grid, params):
     """The transform as one full-length spectrum product and one ifft per
     scale on the calling thread: the reference that the half-spectrum,
     multi-threaded ``cwt_morlet`` must match bit for bit."""
     n = ts.n
-    m = _pad_length(n) if pad == "zero" else n
+    m = _pad_length(n)
     x = np.zeros(m)
     x[:n] = ts.samples
     spec = np.fft.fft(x)
@@ -290,9 +270,8 @@ def cwt_cases(draw):
     j_max = ScaleGrid.default_for(n, dt, s0=s0, dj=dj).J
     grid = ScaleGrid(s0, dj, draw(st.integers(1, min(j_max, 12))))
     x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(n)
-    pad = draw(st.sampled_from(["zero", "periodic"]))
     omega0 = draw(st.floats(5.0, 40.0))
-    return ms.TimeSeries(x, dt=dt), grid, MorletParams(omega0), pad
+    return ms.TimeSeries(x, dt=dt), grid, MorletParams(omega0)
 
 
 class TestCwtThreads:
@@ -300,12 +279,12 @@ class TestCwtThreads:
     @settings(max_examples=40, deadline=None)
     @given(case=cwt_cases())
     def test_bit_identical_to_full_spectrum_loop(self, cpus, case):
-        ts, grid, params, pad = case
+        ts, grid, params = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             mp.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
-            got = ms.cwt_morlet(ts, grid, params, pad=pad).coeffs
-        ref = full_spectrum_cwt(ts, grid, params, pad)
+            got = ms.cwt_morlet(ts, grid, params).coeffs
+        ref = full_spectrum_cwt(ts, grid, params)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("n, J, started", [(4096, 1, 0), (4096, 2, 1),
@@ -372,7 +351,7 @@ class TestCwtThreads:
         # by another worker breaks bit equality with the reference
         ts = ms.gen_fgn(600, 0.8, 9)
         grid = ScaleGrid(2.0, 0.125, 49)
-        ref = full_spectrum_cwt(ts, grid, MorletParams(), "zero")
+        ref = full_spectrum_cwt(ts, grid, MorletParams())
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
         monkeypatch.setattr(wavelet, "_MAX_WORKERS", 8)
@@ -606,8 +585,8 @@ class TestSerialization:
     @settings(max_examples=40, deadline=None)
     @given(case=cwt_cases())
     def test_decode_is_bit_exact_and_re_encodes_identically(self, case):
-        ts, grid, params, pad = case
-        sg = ms.cwt_morlet(ts, grid, params, pad=pad)
+        ts, grid, params = case
+        sg = ms.cwt_morlet(ts, grid, params)
         blob = scalogram_to_bytes(sg)
         back = scalogram_from_bytes(blob)
         assert back.coeffs.tobytes() == sg.coeffs.tobytes()
@@ -634,8 +613,8 @@ class TestSerialization:
     @given(case=cwt_cases(), seed=st.integers(0, 2 ** 32 - 1),
            level=st.floats(0.0, 1.0))
     def test_csv_matches_per_line_formatting(self, case, seed, level):
-        ts, grid, params, pad = case
-        sg = ms.cwt_morlet(ts, grid, params, pad=pad)
+        ts, grid, params = case
+        sg = ms.cwt_morlet(ts, grid, params)
         mask = SignificanceMask(
             np.random.default_rng(seed).random(sg.coeffs.shape) < level)
         text = scalogram_to_csv(sg, mask)
