@@ -33,11 +33,12 @@ from multiscale import wavelet
 
 def child(n: int, w: int) -> None:
     sg = ms.cwt_morlet(ms.gen_white_noise(n, 0))
-    mask = ms.significance_mask(sg)
+    threshold = wavelet.significance_threshold(sg)
     # after the transform, so that only the CSV's split is forced
     wavelet._worker_count = lambda rows, size, floor: min(w, rows)
     start = time.perf_counter()
-    size = sum(len(chunk) for chunk in wavelet.scalogram_csv_chunks(sg, mask))
+    size = sum(len(chunk)
+               for chunk in wavelet.scalogram_csv_chunks(sg, threshold))
     print(time.perf_counter() - start, size)
 
 

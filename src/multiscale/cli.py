@@ -266,9 +266,10 @@ def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
         dj=params.get("dj", 0.125, float), J=params.get("jtot", None, int))
     sg = wavelet.cwt_morlet(ts, grid=grid, params=mp)
     level = params.get("sig", 0.95, float)
-    mask = wavelet.significance_mask(sg, level)
+    threshold = wavelet.significance_threshold(sg, level)
     gws = wavelet.global_spectrum(sg)
-    n_significant = int(mask.mask.sum())
+    n_significant = int(sum(np.count_nonzero(p > thr) for p, thr in
+                            zip(wavelet._row_power(sg.coeffs), threshold)))
     gws_json = lambda: signal_core._json(
         scales=sg.scales, periods=sg.periods(), global_spectrum=gws,
         significance_level=level, n_significant=n_significant)
@@ -278,7 +279,7 @@ def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
              "n_significant": n_significant},
             [Artifact(".cwt.mscl", None, lambda: wavelet.scalogram_chunks(sg)),
              Artifact(".cwt.csv", "csv",
-                      lambda: wavelet.scalogram_csv_chunks(sg, mask)),
+                      lambda: wavelet.scalogram_csv_chunks(sg, threshold)),
              Artifact(".cwt.json", "json", _whole(gws_json))])
 
 

@@ -3,7 +3,6 @@ time-summed spectra, scale averages, band reconstruction, red-noise tests."""
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import struct
@@ -268,8 +267,10 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     if failed:
         raise failed[0]
 
+    # a constant series varies by its mean's round-off at most: record 0
+    var = float(ts.samples.var()) if np.ptp(ts.samples) else 0.0
     return Scalogram(coeffs=coeffs, scales=scales, dj=grid.dj, dt=ts.dt,
-                     params=params, src_var=float(ts.samples.var()),
+                     params=params, src_var=var,
                      src_lag1=lag1_autocorr(ts.samples))
 
 
@@ -322,24 +323,33 @@ def _chi2_ppf_2dof(level: float) -> float:
     return -2.0 * float(np.log1p(-level))
 
 
-def significance_mask(sg: Scalogram, level: float = 0.95) -> SignificanceMask:
-    """Red-noise chi-squared significance test per Torrence-Compo.
+def significance_threshold(sg: Scalogram, level: float = 0.95) -> np.ndarray:
+    """Red-noise chi-squared significance test per Torrence-Compo: the
+    wavelet power above which a point of each scale is significant.
 
     The lag-1 autocorrelation estimated from the source series defines a
-    red-noise background spectrum; wavelet power exceeding that background
-    times chi2(2, level)/2 is marked significant.
+    red-noise background spectrum; the threshold is that background times
+    chi2(2, level)/2. A constant series has no background to stand above,
+    so its thresholds are inf.
     """
     if not 0.5 < level < 1.0:
         raise InvalidParameter("level must be in (0.5, 1)")
     rho = sg.src_lag1
     if not np.isfinite(rho) or not np.isfinite(sg.src_var):
         raise InvalidParameter("scalogram lacks source statistics")
+    if sg.src_var == 0.0:
+        return np.full(len(sg.scales), np.inf)
     freq = sg.dt / sg.periods()  # cycles per sample
     background = (1.0 - rho * rho) / (
         1.0 + rho * rho - 2.0 * rho * np.cos(2.0 * np.pi * freq))
-    threshold = sg.src_var * background * _chi2_ppf_2dof(level) / 2.0
+    return sg.src_var * background * _chi2_ppf_2dof(level) / 2.0
+
+
+def significance_mask(sg: Scalogram, level: float = 0.95) -> SignificanceMask:
+    """Points whose power exceeds their scale's significance_threshold."""
     mask = np.empty(sg.coeffs.shape, dtype=bool)
-    for p, thr, row in zip(_row_power(sg.coeffs), threshold, mask):
+    for p, thr, row in zip(_row_power(sg.coeffs),
+                           significance_threshold(sg, level), mask):
         np.greater(p, thr, out=row)
     return SignificanceMask(mask=mask)
 
@@ -378,8 +388,8 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
     """Decode :func:`scalogram_to_bytes` output.
 
     The record does not carry the source series' variance and lag-1
-    autocorrelation, so :func:`significance_mask` on a decoded scalogram
-    raises InvalidParameter.
+    autocorrelation, so :func:`significance_threshold` on a decoded
+    scalogram raises InvalidParameter.
     """
     off = len(_MAGIC) + _HEADER.size
     if data[:len(_MAGIC)] != _MAGIC:
@@ -397,37 +407,22 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
                      params=MorletParams(omega0=omega0))
 
 
-@functools.lru_cache(maxsize=1)
-def _csv_line_tails(n: int, dt_hex: str) -> tuple[str, ...]:
-    """An empty string, then each CSV line after its scale cell with the
-    time already formatted: ``,time,%.17g,%.17g,%.17g,%d`` and a newline,
-    for re, im, power and the flag. ``scale.join`` of them is a row's
-    template, empty for n = 0. The last file's tails are kept, so that a
-    writer that takes one row at a time formats each time once per file.
-    ``dt`` comes as ``float.hex`` so that 0.0 and -0.0 are two keys."""
-    times = (np.arange(n) * float.fromhex(dt_hex)).tolist()
-    return ("", *[",%.17g,%%.17g,%%.17g,%%.17g,%%d\n" % t for t in times])
+def scalogram_to_csv(sg: Scalogram, threshold: np.ndarray,
+                     tails: tuple[str, ...], j: int) -> str:
+    """The long-format lines scale,time,re,im,power,significant of scale
+    row ``j``, a point flagged where its power exceeds ``threshold[j]``.
+    ``tails`` are the lines after their scale cell, as
+    :func:`scalogram_csv_chunks` builds them."""
+    c = sg.coeffs[j]
+    p = np.abs(c) ** 2
+    # one template and one % per row; %d prints the 0.0/1.0 flags as 0/1
+    values = np.column_stack((c.real, c.imag, p, p > threshold[j]))
+    return ("%.17g" % sg.scales[j]).join(tails) % tuple(values.ravel().tolist())
 
 
-def scalogram_to_csv(sg: Scalogram, mask: SignificanceMask,
-                     rows: slice = slice(None)) -> str:
-    """Long-format lines scale,time,re,im,power,significant of the scale
-    rows ``rows`` (all by default), so that a writer can take one row at a
-    time."""
-    tails = _csv_line_tails(sg.n, float(sg.dt).hex())
-    coeffs = sg.coeffs[rows]
-    out = []
-    for s, c, p, m in zip(sg.scales[rows], coeffs, _row_power(coeffs),
-                          mask.mask[rows]):
-        # one template and one % per row; %d prints the 0.0/1.0 flags as 0/1
-        scale = "%.17g" % s
-        values = np.column_stack((c.real, c.imag, p, m)).ravel().tolist()
-        out.append(scale.join(tails) % tuple(values))
-    return "".join(out)
-
-
-def scalogram_csv_chunks(sg: Scalogram, mask: SignificanceMask):
-    """:func:`scalogram_to_csv` one scale row per chunk, in scale order.
+def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
+    """:func:`scalogram_to_csv` one scale row per chunk, in scale order,
+    flagged against ``threshold`` (:func:`significance_threshold`).
 
     From ``_CSV_SPLIT_MIN_LINES`` lines on, w processes format the rows
     (``_worker_count``; one where processes cannot be forked): forked worker
@@ -440,6 +435,10 @@ def scalogram_csv_chunks(sg: Scalogram, mask: SignificanceMask):
     generator ends, fails or is closed.
     """
     j = len(sg.scales)
+    # an empty string, then each line after its scale cell with the time
+    # formatted: ``scale.join(tails)`` is a row's template, empty for n = 0
+    times = (np.arange(sg.n) * sg.dt).tolist()
+    tails = ("", *[",%.17g,%%.17g,%%.17g,%%.17g,%%d\n" % t for t in times])
     w = (_worker_count(j, j * sg.n, _CSV_SPLIT_MIN_LINES)
          if hasattr(os, "fork") else 1)
     conns, workers = [], []
@@ -447,16 +446,15 @@ def scalogram_csv_chunks(sg: Scalogram, mask: SignificanceMask):
         if w > 1:
             import multiprocessing  # ~12 ms that only a CSV this large pays
 
-            # forked, the workers share the coefficients and the mask
+            # forked, the workers share the coefficients and the tails
             # copy-on-write: nothing is pickled and nothing imported again
             fork = multiprocessing.get_context("fork")
-            _csv_line_tails(sg.n, float(sg.dt).hex())  # the workers inherit them
             for i in range(1, w):
                 conn, child_end = fork.Pipe(duplex=False)
                 conns.append(conn)
                 workers.append(fork.Process(
                     target=_csv_worker, daemon=True,
-                    args=(sg, mask, range(i, j, w), child_end)))
+                    args=(sg, threshold, tails, range(i, j, w), child_end)))
                 with warnings.catch_warnings():
                     # numpy's idle OpenBLAS threads make Python 3.12+ warn
                     # at fork; a worker calls no BLAS routine
@@ -467,7 +465,7 @@ def scalogram_csv_chunks(sg: Scalogram, mask: SignificanceMask):
                 child_end.close()  # so that a worker's death is an EOF here
         for k in range(j):
             if k % w == 0:
-                yield scalogram_to_csv(sg, mask, slice(k, k + 1))
+                yield scalogram_to_csv(sg, threshold, tails, k)
                 continue
             try:
                 ok, value, caught = conns[k % w - 1].recv()
@@ -487,8 +485,8 @@ def scalogram_csv_chunks(sg: Scalogram, mask: SignificanceMask):
                 worker.join()
 
 
-def _csv_worker(sg: Scalogram, mask: SignificanceMask, rows: range,
-                conn) -> None:
+def _csv_worker(sg: Scalogram, threshold: np.ndarray, tails: tuple[str, ...],
+                rows: range, conn) -> None:
     """Send (True, text, warnings) for each row of ``rows`` in turn, or
     (False, exception, warnings) for the first that raises, then stop.
     Each warning goes as (message, filename, lineno). The worker leaves
@@ -502,7 +500,7 @@ def _csv_worker(sg: Scalogram, mask: SignificanceMask, rows: range,
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    reply = True, scalogram_to_csv(sg, mask, slice(k, k + 1))
+                    reply = True, scalogram_to_csv(sg, threshold, tails, k)
                 except Exception as exc:
                     reply = False, exc
             conn.send((*reply, [(w.message, w.filename, w.lineno)

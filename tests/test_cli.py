@@ -138,6 +138,19 @@ class TestAnalyses:
             (tmp_path / "zero.cwt.mscl").read_bytes())
         assert np.allclose(sg.coeffs, 0.0)
 
+    # 0.1 has a nonzero round-off variance about its floating-point mean
+    @pytest.mark.parametrize("value", [1.0, 0.1])
+    def test_cwt_constant_signal_marks_no_point(self, tmp_path, capsys,
+                                                value):
+        src = tmp_path / "const.csv"
+        src.write_text(ms.TimeSeries(np.full(512, value)).to_csv())
+        code, out, err = run(capsys, "cwt", str(src), "--out", str(tmp_path))
+        assert code == 0
+        assert last_json(out)["n_significant"] == 0
+        flags = [line.rsplit(",", 1)[1] for line in
+                 (tmp_path / "const.cwt.csv").read_text().splitlines()]
+        assert set(flags) == {"0"}
+
     def test_mfdfa_cascade(self, tmp_path, capsys):
         run(capsys, "gen", "cascade", "--levels", "14", "--p", "0.6",
             "--out", str(tmp_path))
@@ -239,6 +252,15 @@ class TestFileSet:
         code, *_ = run(capsys, "phase", *pair, "--scale", "16dt",
                        "--format", "json", "--out", str(tmp_path))
         assert code == 0
+
+    def test_cwt_builds_no_mask(self, pair, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("(scale x time) mask built")
+
+        monkeypatch.setattr(wavelet, "significance_mask", refuse)
+        code, out, err = run(capsys, "cwt", pair[0], "--format", "both",
+                             "--out", str(tmp_path))
+        assert code == 0, err
 
 
 class TestStreamedFiles:
@@ -550,9 +572,9 @@ class TestWarnings:
         count = wavelet._worker_count
         used = []
 
-        def warning_to_csv(sg, mask, rows=slice(None)):
-            warnings.warn(f"row {rows.start}")
-            return to_csv(sg, mask, rows)
+        def warning_to_csv(sg, threshold, tails, j):
+            warnings.warn(f"row {j}")
+            return to_csv(sg, threshold, tails, j)
 
         def recorded_count(rows, size, floor):
             if floor != wavelet._CSV_SPLIT_MIN_LINES:  # the transform's split
@@ -625,10 +647,10 @@ class TestCsvWorkerFailures:
         """Run ``action`` before each row a worker process formats."""
         parent, to_csv = os.getpid(), wavelet.scalogram_to_csv
 
-        def formatter(sg, mask, rows=slice(None)):
+        def formatter(*args):
             if os.getpid() != parent:
                 action()
-            return to_csv(sg, mask, rows)
+            return to_csv(*args)
 
         monkeypatch.setattr(wavelet, "scalogram_to_csv", formatter)
 
@@ -678,8 +700,13 @@ class TestCsvWorkerFailures:
         def interrupted(*args, **kwargs):
             signal.raise_signal(signal.SIGINT)
 
-        monkeypatch.setattr(wavelet, "significance_mask", interrupted)
-        assert self.cwt(pair, tmp_path) == 130
+        monkeypatch.setattr(wavelet, "significance_threshold", interrupted)
+        # a background job inherits SIGINT as ignored: Ctrl-C must raise here
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            assert self.cwt(pair, tmp_path) == 130
+        finally:
+            signal.signal(signal.SIGINT, handler)
         out, err = capfd.readouterr()
         assert out == ""
         assert err.count("\n") == 1

@@ -1,5 +1,9 @@
+import contextlib
+import io
+import json
 import os
 import sys
+import tempfile
 import threading
 import tracemalloc
 
@@ -8,12 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multiscale as ms
-from multiscale import errors, wavelet
+from multiscale import cli, errors, wavelet
 from multiscale.wavelet import (MorletParams, ScaleGrid, Scalogram,
-                                SignificanceMask, _chi2_ppf_2dof, _pad_length,
-                                morlet_spectrum, scalogram_chunks,
-                                scalogram_csv_chunks, scalogram_from_bytes,
-                                scalogram_to_bytes, scalogram_to_csv)
+                                _chi2_ppf_2dof, _pad_length, morlet_spectrum,
+                                scalogram_chunks, scalogram_csv_chunks,
+                                scalogram_from_bytes, scalogram_to_bytes,
+                                significance_mask, significance_threshold)
 
 _BLOB = scalogram_to_bytes(ms.cwt_morlet(ms.gen_white_noise(64, 1)))
 
@@ -24,7 +28,7 @@ def csv_per_line(sg, mask):
     times = (np.arange(sg.n) * sg.dt).tolist()
     power = np.abs(sg.coeffs) ** 2
     lines = []
-    for s, c, p, m in zip(sg.scales.tolist(), sg.coeffs, power, mask.mask):
+    for s, c, p, m in zip(sg.scales.tolist(), sg.coeffs, power, mask):
         for row in zip(times, c.real.tolist(), c.imag.tolist(), p.tolist(),
                        m.tolist()):
             lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%d\n" % (s, *row))
@@ -540,6 +544,13 @@ class TestSignificance:
         inside = sg.coi >= sg.scales[j]
         assert mask[j, inside].mean() > 0.95
 
+    def test_constant_series_has_infinite_thresholds(self):
+        for value in (0.0, 1.0, 0.1):
+            sg = ms.cwt_morlet(ms.TimeSeries(np.full(256, value)))
+            assert sg.src_var == 0.0
+            assert np.all(significance_threshold(sg) == np.inf)
+            assert not significance_mask(sg).mask.any()
+
     @pytest.mark.parametrize("level,quantile", [
         (0.5, 1.3862943611198906),
         (0.9, 4.605170185988091),
@@ -610,29 +621,41 @@ class TestSerialization:
         assert scalogram_to_bytes(strided) == scalogram_to_bytes(copied)
 
     @settings(max_examples=30, deadline=None)
-    @given(case=cwt_cases(), seed=st.integers(0, 2 ** 32 - 1),
-           level=st.floats(0.0, 1.0))
-    def test_csv_matches_per_line_formatting(self, case, seed, level):
+    @given(case=cwt_cases(), level=st.floats(0.5, 1.0, exclude_min=True,
+                                              exclude_max=True),
+           workers=st.sampled_from([1, 3]))
+    def test_csv_matches_per_line_formatting(self, case, level, workers):
         ts, grid, params = case
         sg = ms.cwt_morlet(ts, grid, params)
-        mask = SignificanceMask(
-            np.random.default_rng(seed).random(sg.coeffs.shape) < level)
-        text = scalogram_to_csv(sg, mask)
-        assert text == csv_per_line(sg, mask)
-        rows = [scalogram_to_csv(sg, mask, slice(j, j + 1))
-                for j in range(grid.J)]
-        assert "".join(rows) == text
+        mask = significance_mask(sg, level).mask
         # one row per chunk, also when forked workers format all but every
         # third row, whatever the size
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wavelet, "_worker_count",
-                       lambda j, size, floor: min(3, j))
-            assert list(scalogram_csv_chunks(sg, mask)) == rows
+                       lambda j, size, floor: min(workers, j))
+            chunks = list(scalogram_csv_chunks(
+                sg, significance_threshold(sg, level)))
+        assert len(chunks) == grid.J
+        assert "".join(chunks) == csv_per_line(sg, mask)
+        # the command line counts the points that the mask marks
+        with tempfile.TemporaryDirectory() as tmp:
+            src = os.path.join(tmp, "x.csv")
+            with open(src, "w") as fh:
+                fh.writelines("%.17g\n" % v for v in ts.samples)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([
+                    "cwt", src, "--dt", repr(ts.dt), "--s0", repr(grid.s0),
+                    "--dj", repr(grid.dj), "--jtot", str(grid.J),
+                    "--omega0", repr(params.omega0), "--sig", repr(level),
+                    "--format", "json", "--out", tmp])
+        assert code == 0
+        assert json.loads(out.getvalue())["n_significant"] == mask.sum()
 
     def test_record_without_times_has_no_lines(self):
         sg = Scalogram(np.zeros((3, 0), complex), np.array([2.0, 4.0, 8.0]),
                        dj=1.0, dt=1.0)
-        assert scalogram_to_csv(sg, SignificanceMask(np.zeros((3, 0), bool))) == ""
+        assert list(scalogram_csv_chunks(sg, np.zeros(3))) == ["", "", ""]
 
     def test_bad_magic(self):
         with pytest.raises(errors.InputError, match="bad scalogram magic"):
