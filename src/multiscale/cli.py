@@ -120,24 +120,19 @@ def _parse_scale(raw: str, dt: float) -> float:
 
 class Artifact(NamedTuple):
     """One output file, ``stem + suffix``. ``make`` runs only when
-    ``--format`` selects the file, and returns its content as an iterable of
-    chunks (text, bytes or byte views), each written as it comes, so that
-    no chunk need hold the whole file."""
+    ``--format`` selects the file, and returns its content: the whole text,
+    or an iterable of chunks (text, bytes or byte views), each written as it
+    comes, so that no chunk need hold the whole file."""
 
     suffix: str
     fmt: str | None  # None: written under every format
-    make: Callable[[], Iterable[str | bytes | memoryview]]
+    make: Callable[[], str | Iterable[str | bytes | memoryview]]
     stem: str | None = None  # None: the stem of the step's input file
 
 
-def _whole(to_text: Callable[[], str]) -> Callable[[], tuple[str]]:
-    """A ``make`` whose file is the one chunk ``to_text()`` returns."""
-    return lambda: (to_text(),)
-
-
 def _csv_json(suffix: str, to_csv, to_json, stem: str | None = None):
-    return [Artifact(suffix + ".csv", "csv", _whole(to_csv), stem),
-            Artifact(suffix + ".json", "json", _whole(to_json), stem)]
+    return [Artifact(suffix + ".csv", "csv", to_csv, stem),
+            Artifact(suffix + ".json", "json", to_json, stem)]
 
 
 def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
@@ -149,8 +144,6 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
     n = params.get("n", 4096, int)
     if n < 2:
         raise errors.InvalidParameter("n must be >= 2")
-    if seed < 0:
-        raise errors.InvalidParameter("seed must be >= 0")
     if kind == "white":
         x = signal_core.gen_white_noise(n, seed).samples
     elif kind == "fgn":
@@ -179,13 +172,13 @@ def cmd_gen(params: Params, _series) -> tuple[dict, list[Artifact]]:
     ts = signal_core.TimeSeries(x, dt=dt)
     name = params.get("output", kind + ".csv")
     return ({"kind": kind, "n": ts.n, "dt": ts.dt, "file": None},
-            [Artifact(name, None, _whole(ts.to_csv))])
+            [Artifact(name, None, ts.to_csv)])
 
 
 def cmd_profile(params: Params, ts) -> tuple[dict, list[Artifact]]:
     prof = signal_core.profile(ts)
     return ({"n": prof.n, "file": None},
-            [Artifact(".profile.csv", None, _whole(prof.to_csv))])
+            [Artifact(".profile.csv", None, prof.to_csv)])
 
 
 def cmd_spectrum(params: Params, ts) -> tuple[dict, list[Artifact]]:
@@ -280,7 +273,7 @@ def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
             [Artifact(".cwt.mscl", None, lambda: wavelet.scalogram_chunks(sg)),
              Artifact(".cwt.csv", "csv",
                       lambda: wavelet.scalogram_csv_chunks(sg, threshold)),
-             Artifact(".cwt.json", "json", _whole(gws_json))])
+             Artifact(".cwt.json", "json", gws_json)])
 
 
 def cmd_phase(params: Params, ts_a) -> tuple[dict, list[Artifact]]:
@@ -306,7 +299,7 @@ def cmd_phase(params: Params, ts_a) -> tuple[dict, list[Artifact]]:
         stem_b = Path(path_b).stem
         artifacts += _csv_json(".phase", pb.to_csv, pb.to_json, stem=stem_b)
         artifacts.append(Artifact("__" + stem_b + ".phasediff.json", None,
-                                  _whole(diff.to_json)))
+                                  diff.to_json))
         summary.update(locking_intervals=len(diff.locking_intervals),
                        tolerance=tol, min_duration=min_dur)
     return summary, artifacts
@@ -331,10 +324,10 @@ def _write(fh, chunk: str | bytes | memoryview) -> None:
     fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
 
 
-def _save(path: Path, chunks: Iterable[str | bytes | memoryview]) -> str:
+def _save(path: Path, chunks: str | Iterable[str | bytes | memoryview]) -> str:
     with open(path, "wb") as fh:
         try:
-            for chunk in chunks:
+            for chunk in (chunks,) if isinstance(chunks, str) else chunks:
                 _write(fh, chunk)
         finally:
             # a generator left early releases what it holds (the CSV worker

@@ -116,7 +116,8 @@ def load_csv(source, dt: float | None = None) -> TimeSeries:
         try:
             data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
         except ValueError as exc:
-            raise InputError(str(exc)) from None
+            # numpy's first clause: what follows a ";" advises numpy callers
+            raise InputError(str(exc).split(";")[0]) from None
     rows, ncols = data.shape
     # numpy also skips a line of commas alone, which is a row of empty cells
     if rows < len(lines) and rows < sum(map(bool, map(str.strip,
@@ -148,8 +149,14 @@ def profile(ts: TimeSeries) -> TimeSeries:
     return ts.with_samples(np.cumsum(x - x.mean()))
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameter("seed must be an integer >= 0")
+
+
 def gen_white_noise(n: int, seed: int) -> TimeSeries:
     """i.i.d. standard Gaussian samples with dt = 1."""
+    _check_seed(seed)
     if n < 2:
         raise InputError("n must be >= 2")
     rng = np.random.default_rng(seed)
@@ -169,6 +176,7 @@ def gen_fgn(n: int, hurst: float, seed: int) -> TimeSeries:
     Negative circulant eigenvalues are clamped to zero (with a warning
     when the deficit is non-trivial).
     """
+    _check_seed(seed)
     if not 0.0 < hurst < 1.0:
         raise InvalidParameter("hurst must be in (0, 1)")
     if n < 2:
@@ -210,6 +218,7 @@ def gen_binomial_cascade(levels: int, p: float, seed: int = 0,
     one. Analytic tau(q) = -log2(p**q + (1-p)**q). Dyadic order unless
     ``shuffle`` is set, in which case positions are permuted per seed.
     """
+    _check_seed(seed)
     if not 1 <= levels <= 24:
         raise InvalidParameter("levels must be in 1..24")
     if not 0.0 < p < 1.0:

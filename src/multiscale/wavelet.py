@@ -330,13 +330,16 @@ def significance_threshold(sg: Scalogram, level: float = 0.95) -> np.ndarray:
     The lag-1 autocorrelation estimated from the source series defines a
     red-noise background spectrum; the threshold is that background times
     chi2(2, level)/2. A constant series has no background to stand above,
-    so its thresholds are inf.
+    so its thresholds are inf; one whose variance overflows float64 raises
+    NumericError.
     """
     if not 0.5 < level < 1.0:
         raise InvalidParameter("level must be in (0.5, 1)")
     rho = sg.src_lag1
-    if not np.isfinite(rho) or not np.isfinite(sg.src_var):
+    if np.isnan(sg.src_var):
         raise InvalidParameter("scalogram lacks source statistics")
+    if not np.isfinite(rho) or not np.isfinite(sg.src_var):
+        raise NumericError("source series variance overflows float64")
     if sg.src_var == 0.0:
         return np.full(len(sg.scales), np.inf)
     freq = sg.dt / sg.periods()  # cycles per sample
@@ -430,9 +433,9 @@ def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
     k % w == 0. A worker formats its next row only once the caller has read
     the last one, so at most w rows are in flight and the text is never held
     whole. A Python warning raised in a worker is raised again here, in row
-    order, as its row is yielded; a worker's exception is raised here, and a
-    worker that dies raises OSError. The workers are stopped when the
-    generator ends, fails or is closed.
+    order, as its row is yielded. A worker that fails in any way ends, and
+    raises OSError here, naming the row it owed. The workers are stopped
+    when the generator ends, fails or is closed.
     """
     j = len(sg.scales)
     # an empty string, then each line after its scale cell with the time
@@ -468,14 +471,12 @@ def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
                 yield scalogram_to_csv(sg, threshold, tails, k)
                 continue
             try:
-                ok, value, caught = conns[k % w - 1].recv()
+                text, caught = conns[k % w - 1].recv()
             except EOFError:
                 raise OSError(f"the process formatting CSV row {k} ended") from None
-            for message, filename, lineno in caught:
-                warnings.warn_explicit(message, type(message), filename, lineno)
-            if not ok:
-                raise value
-            yield value
+            for caught_warning in caught:
+                warnings.warn_explicit(*caught_warning)
+            yield text
     finally:
         for conn in conns:
             conn.close()
@@ -487,11 +488,10 @@ def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
 
 def _csv_worker(sg: Scalogram, threshold: np.ndarray, tails: tuple[str, ...],
                 rows: range, conn) -> None:
-    """Send (True, text, warnings) for each row of ``rows`` in turn, or
-    (False, exception, warnings) for the first that raises, then stop.
-    Each warning goes as (message, filename, lineno). The worker leaves
-    Ctrl-C to its parent and writes nothing to stderr: a reply that cannot
-    be sent ends it, which the parent sees as the pipe's end."""
+    """Send (text, warnings) for each row of ``rows`` in turn, each warning
+    as (text, category, filename, lineno). The worker leaves Ctrl-C to its
+    parent and writes nothing to stderr: a row that raises, or a reply that
+    cannot be sent, ends it, which the parent sees as the pipe's end."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -499,13 +499,8 @@ def _csv_worker(sg: Scalogram, threshold: np.ndarray, tails: tuple[str, ...],
         for k in rows:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                try:
-                    reply = True, scalogram_to_csv(sg, threshold, tails, k)
-                except Exception as exc:
-                    reply = False, exc
-            conn.send((*reply, [(w.message, w.filename, w.lineno)
-                                for w in caught]))
-            if not reply[0]:
-                return
-    except Exception:  # an unpicklable reply, or the parent stopped reading
+                text = scalogram_to_csv(sg, threshold, tails, k)
+            conn.send((text, [(str(w.message), w.category, w.filename,
+                               w.lineno) for w in caught]))
+    except Exception:
         os._exit(1)

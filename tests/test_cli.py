@@ -151,6 +151,16 @@ class TestAnalyses:
                  (tmp_path / "const.cwt.csv").read_text().splitlines()]
         assert set(flags) == {"0"}
 
+    def test_cwt_variance_overflow_exit_4(self, tmp_path, capsys):
+        src = tmp_path / "huge.csv"
+        src.write_text(ms.TimeSeries(white(1024).samples * 1e160).to_csv())
+        code, out, err = run(capsys, "cwt", str(src), "--out", str(tmp_path))
+        assert code == 4
+        assert out == ""
+        assert json.loads(err) == {
+            "code": 4, "operation": "cwt",
+            "detail": "source series variance overflows float64"}
+
     def test_mfdfa_cascade(self, tmp_path, capsys):
         run(capsys, "gen", "cascade", "--levels", "14", "--p", "0.6",
             "--out", str(tmp_path))
@@ -624,6 +634,10 @@ def worker_raises():
     raise MemoryError("no room for a row")
 
 
+def worker_raises_value_error():
+    raise ValueError("a row the worker cannot format")
+
+
 def worker_gets_ctrl_c():
     # a terminal's Ctrl-C reaches every process of the foreground group
     os.kill(os.getpid(), signal.SIGINT)
@@ -654,8 +668,9 @@ class TestCsvWorkerFailures:
 
         monkeypatch.setattr(wavelet, "scalogram_to_csv", formatter)
 
-    @pytest.mark.parametrize("fail", [worker_dies, worker_raises],
-                             ids=["dies", "raises"])
+    @pytest.mark.parametrize("fail", [worker_dies, worker_raises,
+                                      worker_raises_value_error],
+                             ids=["dies", "raises", "raises_ValueError"])
     def test_a_failing_worker_exits_3(self, pair, tmp_path, capfd,
                                       monkeypatch, fail):
         self.in_workers(monkeypatch, fail)
@@ -664,7 +679,10 @@ class TestCsvWorkerFailures:
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
-        assert json.loads(err)["code"] == 3
+        # row 0 is the caller's; row 1 is the first a worker owes
+        assert json.loads(err) == {
+            "code": 3, "operation": "cwt",
+            "detail": "the process formatting CSV row 1 ended"}
         assert multiprocessing.active_children() == []
 
     def test_workers_leave_ctrl_c_to_the_parent(self, pair, tmp_path, capfd,
@@ -747,6 +765,12 @@ def white(n):
     return ms.gen_white_noise(n, 0)
 
 
+def overflowed_scalogram():
+    """A valid series whose variance and lag-1 products overflow float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ms.cwt_morlet(ms.TimeSeries(white(1024).samples * 1e160))
+
+
 # One real raise site for each kind of failure the package refuses, named for
 # that kind, with the exit code and the detail the command line prints for it.
 # The family classes carry the code; the detail tells the sites apart.
@@ -765,6 +789,8 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
      "smallest scale is below 2*dt"),
     ("BadOrder", lambda: ms.dwt(ms.TimeSeries(np.zeros(64)), 11, 1), 2,
      "Daubechies order must be in 1..10"),
+    ("BadSeed", lambda: ms.gen_white_noise(8, -1), 2,
+     "seed must be an integer >= 0"),
     ("TooShort", lambda: ms.load_csv("1.0"), 3, "need at least 2 rows"),
     ("Malformed", lambda: ms.load_csv("1\n , \n2\n3"), 3,
      "a line holds commas but no number"),
@@ -797,6 +823,9 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
     ("EmptyBand", lambda: ms.scale_avg_variance(
         ms.cwt_morlet(white(256)), (1e9, 2e9)), 4,
      "band does not intersect the scale grid"),
+    ("VarianceOverflow", lambda: wavelet.significance_threshold(
+        overflowed_scalogram()), 4,
+     "source series variance overflows float64"),
 ]]
 
 

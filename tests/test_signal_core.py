@@ -61,6 +61,12 @@ class TestLoadCsv:
         with pytest.raises(errors.InputError, match="need at least 2 rows"):
             ms.load_csv("1.0")
 
+    def test_ragged_row_keeps_numpys_first_clause_only(self):
+        with pytest.raises(errors.InputError,
+                           match="^the number of columns changed") as info:
+            ms.load_csv("0,1\n1,2\n2,3\n4\n5,6")
+        assert "usecols" not in str(info.value)
+
     @pytest.mark.parametrize("text", ["", " \n\t\n", "\r\n\r\n"])
     def test_no_data_row_is_too_short_without_a_warning(self, text):
         with warnings.catch_warnings():
@@ -137,6 +143,17 @@ class TestGenerators:
         a = ms.gen_binomial_cascade(8, 0.6, seed=3, shuffle=True)
         b = ms.gen_binomial_cascade(8, 0.6, seed=3, shuffle=True)
         assert a.samples.tobytes() == b.samples.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: ms.gen_white_noise(8, -1),
+        lambda: ms.gen_fgn(8, 0.5, -1),
+        lambda: ms.gen_binomial_cascade(3, 0.6, -1, shuffle=True),
+        lambda: ms.gen_white_noise(8, 1.5),
+    ], ids=["white", "fgn", "cascade", "float"])
+    def test_bad_seed(self, make):
+        with pytest.raises(errors.InvalidParameter,
+                           match="seed must be an integer >= 0"):
+            make()
 
     def test_cascade_bad_levels(self):
         with pytest.raises(errors.InvalidParameter):
