@@ -5,7 +5,6 @@ plus a one-line JSON summary on stdout."""
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 import warnings
@@ -215,8 +214,8 @@ def cmd_heisenberg(params: Params, ts) -> tuple[dict, list[Artifact]]:
 
 
 def cmd_rs(params: Params, ts) -> tuple[dict, list[Artifact]]:
-    windows = params.get("windows", _dyadic(16, ts.n // 4), _parse_int_list)
-    res = fractal.rescaled_range(ts, windows)
+    res = fractal.rescaled_range(
+        ts, params.get("windows", None, _parse_int_list))
     return ({"hurst": res.hurst, "stderr": res.stderr},
             _csv_json(".rs", res.to_csv, res.to_json))
 
@@ -235,14 +234,7 @@ def cmd_mfdfa(params: Params, ts) -> tuple[dict, list[Artifact]]:
     if not params.get("no-profile", False, _parse_bool):
         ts = signal_core.profile(ts)
     detrend = params.get("detrend", 1, _parse_detrend)
-    scales = _dyadic(16, ts.n // 4)
-    if isinstance(detrend, fractal.WaveletDetrend):
-        # half-octave steps up to n/4 while the residual interior left by the
-        # boundary margins holds 4 segments; dyadic steps stop too early
-        steps = (int(16 * 2 ** (k / 2)) for k in itertools.count())
-        scales = [s for s in itertools.takewhile(lambda s: s <= ts.n // 4, steps)
-                  if detrend.interior(ts.n, s) >= 4 * s]
-    scales = params.get("scales", scales, _parse_int_list)
+    scales = params.get("scales", None, _parse_int_list)
     q = params.get("q", [-5, -3, -1, 1, 2, 3, 5], _parse_float_list)
     res = fractal.mfdfa(ts, scales, q, detrend=detrend)
     width = fractal.multifractality_width(res) if res.q_values.size >= 3 else None

@@ -3,12 +3,13 @@ analysis with polynomial or Daubechies-wavelet detrending."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dwt import boundary_margin, dwt as _dwt_decompose, idwt as _dwt_invert, zero_details
-from .errors import InvalidParameter, NumericError
+from .errors import InputError, InvalidParameter, NumericError
 from .signal_core import TimeSeries, _csv_rows, _json
 from .spectral import _ols
 
@@ -78,13 +79,35 @@ class MFDFAResult:
                          self.Fq.ravel())
 
 
-def rescaled_range(ts: TimeSeries, window_sizes) -> RSResult:
+def _default_scales(n: int, count: int,
+                    detrend: int | WaveletDetrend = 0) -> list[int]:
+    """The default grid of an n-sample series, from 16 up to n/4: dyadic,
+    or in half octaves ⌊16·2^(k/2)⌋ for wavelet detrending, whose residual
+    interior must also hold 4 segments of a scale (dyadic steps stop too
+    early there). InputError names the length ``count`` scales need."""
+    wavelet = isinstance(detrend, WaveletDetrend)
+    step = lambda k: int(16 * 2 ** (k / 2 if wavelet else k))
+    # the fewest samples that hold scale s, both boundary margins included;
+    # it grows with s
+    need = lambda s: 4 * s + (n - detrend.interior(n, s) if wavelet else 0)
+    scales = list(itertools.takewhile(lambda s: need(s) <= n,
+                                      map(step, itertools.count())))
+    if len(scales) < count:
+        raise InputError(f"the default grid needs n >= "
+                         f"{need(step(count - 1))} samples, got {n}")
+    return scales
+
+
+def rescaled_range(ts: TimeSeries, window_sizes=None) -> RSResult:
     """Classical R/S estimator over disjoint windows.
 
     Per window: range of the mean-adjusted cumulative deviations divided
     by the population standard deviation; averaged over windows, then the
-    Hurst exponent is the log-log OLS slope against window size.
+    Hurst exponent is the log-log OLS slope against window size. The
+    windows default to the dyadic grid 16..n/4.
     """
+    if window_sizes is None:
+        window_sizes = _default_scales(ts.n, 4)
     sizes = np.asarray(sorted(set(int(w) for w in window_sizes)), dtype=int)
     if sizes.size < 4:
         raise InvalidParameter("need >= 4 window sizes")
@@ -152,8 +175,12 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
     fit) or a :class:`WaveletDetrend`, in which case the wavelet trend
     is removed from the whole profile once and boundary-affected samples
     are excluded before segmentation. The caller supplies a profile
-    (see :func:`multiscale.signal_core.profile`).
+    (see :func:`multiscale.signal_core.profile`). ``scales=None`` takes
+    the default grid: dyadic 16..n/4, in half octaves for wavelet
+    detrending while the residual interior holds 4 segments.
     """
+    if scales is None:
+        scales = _default_scales(profile_ts.n, 6, detrend)
     scales = np.asarray(sorted(set(int(s) for s in scales)), dtype=int)
     q = np.asarray(q_values, dtype=np.float64)
     if scales.size < 6:

@@ -40,11 +40,11 @@ _MAX_WORKERS = 4
 _BLOCK_ROWS = 2
 # Fewest scalogram CSV lines (scales x times) that are split over processes.
 # scripts/csv_workers.py on a 2-core host, fresh process, median of 9: two
-# processes took 1.8x as long as one at 4224 lines (12 -> 22 ms), 1.1x at
-# 10496 (29 -> 33 ms), and 1.35x less at 25088 (72 -> 53 ms), 1.6x less at
-# 133120 and 663552 (the n = 8192 CSV, 1.77 -> 1.12 s). Importing
-# multiprocessing and forking cost about 10 ms.
-_CSV_SPLIT_MIN_LINES = 2 ** 14
+# processes took 1.9x as long as one at 4224 lines (8 -> 16 ms), 1.2x at
+# 25088 (19 -> 23 ms), as long at 58368 (31 ms), and 1.17x less at 133120
+# (70 -> 60 ms), 1.37x less at 299008 and 663552 (the n = 8192 CSV,
+# 353 -> 257 ms). Importing multiprocessing and forking cost about 10 ms.
+_CSV_SPLIT_MIN_LINES = 2 ** 16
 
 _MAGIC = b"MSCL1"
 _HEADER = struct.Struct("<IIdd")  # N, J, dt, omega0
@@ -410,17 +410,144 @@ def scalogram_from_bytes(data: bytes) -> Scalogram:
                      params=MorletParams(omega0=omega0))
 
 
+# %.17g writes a float64 x with 1e-4 <= |x| < 1e17 in fixed notation, with
+# the 17 significant digits of the integer nearest |x| * 10**(16 - k), k its
+# decimal exponent. Every 10**(16 - k) is an exact double, so Dekker's
+# error-free product (Numer. Math. 18:224, 1971) gives |x| * 10**(16 - k)
+# exactly, as hi + lo, and the integer as % rounds it, ties to even.
+_POW10 = np.array([float(10 ** e) for e in range(21)])
+_SPLITTER = 2.0 ** 27 + 1  # Veltkamp's: splits a double into 26-bit halves
+_G17_WIDTH = 24  # the longest %.17g text: "-2.2250738585072014e-308"
+_ZERO_POINT = np.frombuffer(b"0.000", np.uint8)  # fixed notation below 1
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each double: a == hi + lo, 26 bits each."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a: np.ndarray,
+                 e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's product of a and 10**e: hi rounded, hi + lo exact."""
+    hi = a * _POW10.take(e)
+    ah, al = _split(a)
+    bh, bl = _POW10_HI.take(e), _POW10_LO.take(e)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _fixed_significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each 1e-4 <= a < 1e17: the decimal exponent k of a's %.17g text
+    and the integer 1e16 <= d < 1e17 of its 17 significant digits."""
+    k = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(k, -4, 16, out=k)  # 10**(16 - k) stays in _POW10
+    hi, lo = _times_pow10(a, 16 - k)
+    # log10 can be one off next to a power of ten: a * 10**(16 - k),
+    # compared exactly, then lies outside [1e16, 1e17)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(low | high)
+    if off.size:
+        k[off] += np.where(high[off], 1, -1)
+        hi[off], lo[off] = _times_pow10(a[off], 16 - k[off])
+    # hi >= 2**53 is an even integer and |lo| <= 8, so rint rounds the
+    # sum's half-way cases to even. None rounds up to 1e17: that a would lie
+    # less than 5e-18 times 10**(k + 1) below it, and no double in range does
+    return k, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _ascii_digits(d: np.ndarray) -> np.ndarray:
+    """The 17 digits of each 1e16 <= d < 1e17 as ASCII, one row per digit
+    position, its trailing zeros NUL."""
+    digits = np.empty((17, d.size), np.uint8)
+    high = d // 10 ** 8
+    row = 0
+    for v, p in ((high.astype(np.uint32), 10 ** 8),
+                 ((d - high * 10 ** 8).astype(np.uint32), 10 ** 7)):
+        while p:
+            t = v // p
+            digits[row] = t
+            v -= t * p
+            p //= 10
+            row += 1
+    # a digit stays if it or one after it is not 0; the first is never 0
+    kept = digits != 0
+    for i in range(15, 0, -1):
+        kept[i] |= kept[i + 1]
+    digits += ord("0")
+    digits *= kept
+    return digits
+
+
+def _g17_cells(x: np.ndarray) -> np.ndarray:
+    """``b"%.17g" % v`` for each float64 v of the 1-D ``x``: row i holds
+    x[i]'s text in _G17_WIDTH bytes, with NUL bytes, to be dropped, where it
+    has no sign, where trailing zeros were and after its end.
+
+    Values in fixed notation, 1e-4 <= |x| < 1e17, are formatted here; %
+    formats the others (0, tiny, huge, inf and nan) in bulk, and all of
+    them when no value is in that range."""
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)  # false on nan
+    rest = np.flatnonzero(~fixed)
+    text = (f"%-{_G17_WIDTH}.17g" * rest.size
+            % tuple(x[rest].tolist())).encode()
+    padded = np.frombuffer(text, np.uint8).reshape(rest.size, _G17_WIDTH)
+    padded = padded * (padded != ord(" "))
+    if rest.size == x.size:
+        return padded
+    covered = np.flatnonzero(fixed)
+    k, d = _fixed_significand(a[covered])
+    # by exponent, then the others: each exponent's cells are one slice
+    by_k = np.argsort(k.astype(np.int8), kind="stable")
+    k, order = k[by_k], np.concatenate((covered[by_k], rest))
+    digits = _ascii_digits(d[by_k]).T
+    cells = np.zeros((x.size, _G17_WIDTH), np.uint8)
+    cells[:k.size, 0] = (x[order[:k.size]] < 0) * np.uint8(ord("-"))
+    cells[k.size:] = padded
+    bounds = np.searchsorted(k, np.arange(-4, 18))
+    for e, start, stop in zip(range(-4, 17), bounds, bounds[1:]):
+        g, cell = digits[start:stop], cells[start:stop]
+        if e < 0:  # 0.ddd, 0.0ddd, ...
+            cell[:, 1:2 - e] = _ZERO_POINT[:1 - e]
+            cell[:, 2 - e:19 - e] = g
+            continue
+        cell[:, 1:e + 2] = np.maximum(g[:, :e + 1], ord("0"))  # zeros kept
+        if e < 16:  # a point if a fraction digit is left
+            cell[:, e + 2] = np.minimum(g[:, e + 1], ord("."))
+            cell[:, e + 3:19] = g[:, e + 1:]
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    return cells.take(inverse, axis=0)
+
+
 def scalogram_to_csv(sg: Scalogram, threshold: np.ndarray,
-                     tails: tuple[str, ...], j: int) -> str:
+                     times: np.ndarray, j: int) -> bytes:
     """The long-format lines scale,time,re,im,power,significant of scale
     row ``j``, a point flagged where its power exceeds ``threshold[j]``.
-    ``tails`` are the lines after their scale cell, as
-    :func:`scalogram_csv_chunks` builds them."""
+    ``times`` holds each line's ",time" text, NUL-padded, as
+    :func:`scalogram_csv_chunks` builds it."""
     c = sg.coeffs[j]
     p = np.abs(c) ** 2
-    # one template and one % per row; %d prints the 0.0/1.0 flags as 0/1
-    values = np.column_stack((c.real, c.imag, p, p > threshold[j]))
-    return ("%.17g" % sg.scales[j]).join(tails) % tuple(values.ravel().tolist())
+    scale = np.frombuffer(b"%.17g" % sg.scales[j], np.uint8)
+    n, w = times.shape
+    # one NUL-padded matrix of lines, with the values in 25-byte cells
+    # ",re", ",im", ",power", then compacted
+    line = np.empty((n, scale.size + w + 3 * (1 + _G17_WIDTH) + 3), np.uint8)
+    line[:, :scale.size] = scale
+    line[:, scale.size:scale.size + w] = times
+    values = line[:, scale.size + w:-3].reshape(n, 3, 1 + _G17_WIDTH)
+    values[:, :, 0] = ord(",")
+    values[:, :, 1:] = _g17_cells(
+        np.column_stack((c.real, c.imag, p)).ravel()).reshape(n, 3, _G17_WIDTH)
+    line[:, -3] = ord(",")
+    line[:, -2] = (p > threshold[j]) + np.uint8(ord("0"))
+    line[:, -1] = ord("\n")
+    return line.tobytes().translate(None, b"\0")
 
 
 def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
@@ -438,10 +565,12 @@ def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
     when the generator ends, fails or is closed.
     """
     j = len(sg.scales)
-    # an empty string, then each line after its scale cell with the time
-    # formatted: ``scale.join(tails)`` is a row's template, empty for n = 0
-    times = (np.arange(sg.n) * sg.dt).tolist()
-    tails = ("", *[",%.17g,%%.17g,%%.17g,%%.17g,%%d\n" % t for t in times])
+    # each line's ",time", formatted once; a column NUL on every line adds
+    # nothing to the text
+    times = np.zeros((sg.n, 1 + _G17_WIDTH), np.uint8)
+    times[:, 0] = ord(",")
+    times[:, 1:] = _g17_cells(np.arange(sg.n) * sg.dt)
+    times = times[:, times.any(axis=0)]
     w = (_worker_count(j, j * sg.n, _CSV_SPLIT_MIN_LINES)
          if hasattr(os, "fork") else 1)
     conns, workers = [], []
@@ -449,7 +578,7 @@ def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
         if w > 1:
             import multiprocessing  # ~12 ms that only a CSV this large pays
 
-            # forked, the workers share the coefficients and the tails
+            # forked, the workers share the coefficients and the times
             # copy-on-write: nothing is pickled and nothing imported again
             fork = multiprocessing.get_context("fork")
             for i in range(1, w):
@@ -457,7 +586,7 @@ def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
                 conns.append(conn)
                 workers.append(fork.Process(
                     target=_csv_worker, daemon=True,
-                    args=(sg, threshold, tails, range(i, j, w), child_end)))
+                    args=(sg, threshold, times, range(i, j, w), child_end)))
                 with warnings.catch_warnings():
                     # numpy's idle OpenBLAS threads make Python 3.12+ warn
                     # at fork; a worker calls no BLAS routine
@@ -468,7 +597,7 @@ def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
                 child_end.close()  # so that a worker's death is an EOF here
         for k in range(j):
             if k % w == 0:
-                yield scalogram_to_csv(sg, threshold, tails, k)
+                yield scalogram_to_csv(sg, threshold, times, k)
                 continue
             try:
                 text, caught = conns[k % w - 1].recv()
@@ -486,7 +615,7 @@ def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
                 worker.join()
 
 
-def _csv_worker(sg: Scalogram, threshold: np.ndarray, tails: tuple[str, ...],
+def _csv_worker(sg: Scalogram, threshold: np.ndarray, times: np.ndarray,
                 rows: range, conn) -> None:
     """Send (text, warnings) for each row of ``rows`` in turn, each warning
     as (text, category, filename, lineno). The worker leaves Ctrl-C to its
@@ -499,7 +628,7 @@ def _csv_worker(sg: Scalogram, threshold: np.ndarray, tails: tuple[str, ...],
         for k in rows:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                text = scalogram_to_csv(sg, threshold, tails, k)
+                text = scalogram_to_csv(sg, threshold, times, k)
             conn.send((text, [(str(w.message), w.category, w.filename,
                                w.lineno) for w in caught]))
     except Exception:

@@ -700,7 +700,7 @@ class TestCsvWorkerFailures:
         write = cli._write
 
         def failing_after_one_row(fh, chunk):
-            if isinstance(chunk, str) and fh.tell() > 0:  # the CSV's 2nd row
+            if fh.name.endswith(".csv") and fh.tell() > 0:  # the 2nd row
                 raise exc
             write(fh, chunk)
 
@@ -792,6 +792,10 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
     ("BadSeed", lambda: ms.gen_white_noise(8, -1), 2,
      "seed must be an integer >= 0"),
     ("TooShort", lambda: ms.load_csv("1.0"), 3, "need at least 2 rows"),
+    ("ShortForDefaultWindows", lambda: ms.rescaled_range(white(300)), 3,
+     "the default grid needs n >= 512 samples, got 300"),
+    ("ShortForDefaultScales", lambda: ms.mfdfa(white(1024), None, [2.0]), 3,
+     "the default grid needs n >= 2048 samples, got 1024"),
     ("Malformed", lambda: ms.load_csv("1\n , \n2\n3"), 3,
      "a line holds commas but no number"),
     ("NonUniformSampling", lambda: ms.load_csv("0,1\n1,2\n2.5,3"), 3,

@@ -91,6 +91,54 @@ class TestRescaledRange:
             ms.rescaled_range(ms.gen_white_noise(512, 0), [8, 16, 32])
 
 
+class TestDefaultGrid:
+    """Each estimator builds its default grid 16..n/4, and a series too
+    short for it is refused as input, naming the length the grid needs."""
+
+    @pytest.mark.parametrize("n", [512, 5000])
+    def test_rs_windows_default_to_the_dyadic_grid(self, n):
+        ts = ms.gen_white_noise(n, 0)
+        dyadic = [w for w in DYADIC if w <= n // 4]
+        got, want = ms.rescaled_range(ts), ms.rescaled_range(ts, dyadic)
+        assert list(got.window_sizes) == dyadic
+        assert got.hurst == want.hurst
+
+    def test_rs_refuses_a_series_shorter_than_its_grid(self):
+        with pytest.raises(errors.InputError,
+                           match="needs n >= 512 samples, got 511"):
+            ms.rescaled_range(ms.gen_white_noise(511, 0))
+
+    def test_mfdfa_scales_default_to_the_dyadic_grid(self):
+        prof = ms.profile(ms.gen_white_noise(2048, 0))
+        got = ms.mfdfa(prof, None, Q6)
+        assert list(got.scales) == DYADIC[:6]
+        assert np.array_equal(got.Fq, ms.mfdfa(prof, DYADIC[:6], Q6).Fq)
+        with pytest.raises(errors.InputError,
+                           match="needs n >= 2048 samples, got 2047"):
+            ms.mfdfa(ms.profile(ms.gen_white_noise(2047, 0)), None, Q6)
+
+    @pytest.mark.parametrize("order", [2, 10])
+    def test_wavelet_grid_takes_half_octaves_inside_the_margins(self, order):
+        detrend = WaveletDetrend(order)
+        # the sixth half-octave scale, 90, and its level's two margins
+        least = 4 * 90 + 2 * boundary_margin(order, detrend.level_for(90))
+        prof = ms.profile(ms.gen_white_noise(least, 0))
+        assert list(ms.mfdfa(prof, None, Q6, detrend=detrend).scales) == [
+            16, 22, 32, 45, 64, 90]
+        short = ms.profile(ms.gen_white_noise(least - 1, 0))
+        with pytest.raises(errors.InputError, match=f"n >= {least} samples"):
+            ms.mfdfa(short, None, Q6, detrend=detrend)
+
+    def test_grid_of_a_long_series_stops_at_a_quarter_and_the_margins(self):
+        n = 4096
+        for order, count in ((2, 10), (4, 8), (10, 6)):
+            detrend = WaveletDetrend(order)
+            scales = fractal._default_scales(n, 6, detrend)
+            assert len(scales) == count
+            assert all(detrend.interior(n, s) >= 4 * s for s in scales)
+        assert fractal._default_scales(n, 6) == DYADIC[:7]
+
+
 class TestAffineInvariance:
     """x -> a x + b with a > 0 leaves every Hurst estimate unchanged."""
 

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import multiscale as ms
 from multiscale import cli, errors, wavelet
@@ -582,6 +582,91 @@ class TestReconstruction:
         assert corr > 0.95
 
 
+def g17_texts(values):
+    """The text of each value as the vectorised formatter writes it."""
+    cells = wavelet._g17_cells(np.array(values, dtype=np.float64))
+    return [cell[cell != 0].tobytes() for cell in cells]
+
+
+def percent_texts(values):
+    return [b"%.17g" % v for v in values]
+
+
+def neighbours(x, steps=3):
+    """x and the ``steps`` doubles on each side of it."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(steps):
+            y = float(np.nextafter(y, direction))
+            out.append(y)
+    return out
+
+
+class TestG17Cells:
+    """The scalogram CSV's formatter writes the bytes of %.17g."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats() | st.floats(-1e17, 1e17), max_size=40))
+    @example([0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.nan, np.inf,
+              -np.inf, 1.7976931348623157e308])
+    def test_any_double_formats_as_percent(self, values):
+        # st.floats() draws nan, inf, subnormals and -0.0 too
+        assert g17_texts(values) == percent_texts(values)
+
+    def test_random_bit_patterns_and_magnitudes(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64)
+        spread = (rng.standard_normal(20000)
+                  * 10.0 ** rng.integers(-6, 19, 20000))
+        values = np.concatenate((bits.view(np.float64), spread)).tolist()
+        assert g17_texts(values) == percent_texts(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # log10 is one off next to many of them, %.17g changes notation at
+        # 1e-4 and 1e17, and only a double just below one could round up
+        # to it, carrying into one more digit
+        values = [s * v for e in range(-8, 19) for v in neighbours(10.0 ** e)
+                  for s in (1.0, -1.0)]
+        assert g17_texts(values) == percent_texts(values)
+
+    @pytest.mark.parametrize("skew", [-np.inf, np.inf])
+    def test_exponent_does_not_rest_on_log10_rounding(self, monkeypatch, skew):
+        # a log10 one ulp off puts exact powers of ten a decade too low, or
+        # their lower neighbours a decade too high
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10",
+                            lambda a: np.nextafter(log10(a), skew))
+        values = [v for e in range(-3, 17) for v in neighbours(10.0 ** e, 1)]
+        assert g17_texts(values) == percent_texts(values)
+
+    def test_one_micro_is_written_with_its_true_exponent(self):
+        # the double 1e-06 is 9.99999999999999955e-07
+        assert g17_texts([1e-06, -1e-06]) == [b"9.9999999999999995e-07",
+                                              b"-9.9999999999999995e-07"]
+
+    def test_half_way_digits_round_to_even(self):
+        # 17 digits of each end in an exact 5: 1000000000000000.25 and .75
+        # have 10000000000000002.5 and ...7.5
+        values = [1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375,
+                  -(1e15 + 0.25)]
+        assert g17_texts(values) == [
+            b"1000000000000000.2", b"1000000000000000.8",
+            b"100000000000000.12", b"100000000000000.38",
+            b"-1000000000000000.2"]
+        assert g17_texts(values) == percent_texts(values)
+
+    def test_trailing_zeros_and_the_point_are_dropped(self):
+        values = [100.0, 0.5, 1e16, 12345678901234567.0, 0.0001, 2.5e-3]
+        assert g17_texts(values) == [b"100", b"0.5", b"10000000000000000",
+                                     b"12345678901234568", b"0.0001",
+                                     b"0.0025000000000000001"]
+        assert g17_texts(values) == percent_texts(values)
+
+    def test_empty(self):
+        assert wavelet._g17_cells(np.empty(0)).shape == (0, 24)
+
+
 class TestSerialization:
     def test_bytes_round_trip(self):
         sg = ms.cwt_morlet(ms.gen_white_noise(300, 5))
@@ -623,9 +708,12 @@ class TestSerialization:
     @settings(max_examples=30, deadline=None)
     @given(case=cwt_cases(), level=st.floats(0.5, 1.0, exclude_min=True,
                                               exclude_max=True),
-           workers=st.sampled_from([1, 3]))
-    def test_csv_matches_per_line_formatting(self, case, level, workers):
+           workers=st.sampled_from([1, 3]),
+           gain=st.sampled_from([1.0, 1e-8, 1e20]))
+    def test_csv_matches_per_line_formatting(self, case, level, workers, gain):
         ts, grid, params = case
+        # scaled, most values fall outside %.17g's fixed notation, some not
+        ts = ms.TimeSeries(ts.samples * gain, dt=ts.dt)
         sg = ms.cwt_morlet(ts, grid, params)
         mask = significance_mask(sg, level).mask
         # one row per chunk, also when forked workers format all but every
@@ -636,7 +724,7 @@ class TestSerialization:
             chunks = list(scalogram_csv_chunks(
                 sg, significance_threshold(sg, level)))
         assert len(chunks) == grid.J
-        assert "".join(chunks) == csv_per_line(sg, mask)
+        assert b"".join(chunks) == csv_per_line(sg, mask).encode()
         # the command line counts the points that the mask marks
         with tempfile.TemporaryDirectory() as tmp:
             src = os.path.join(tmp, "x.csv")
@@ -655,7 +743,7 @@ class TestSerialization:
     def test_record_without_times_has_no_lines(self):
         sg = Scalogram(np.zeros((3, 0), complex), np.array([2.0, 4.0, 8.0]),
                        dj=1.0, dt=1.0)
-        assert list(scalogram_csv_chunks(sg, np.zeros(3))) == ["", "", ""]
+        assert list(scalogram_csv_chunks(sg, np.zeros(3))) == [b"", b"", b""]
 
     def test_bad_magic(self):
         with pytest.raises(errors.InputError, match="bad scalogram magic"):
