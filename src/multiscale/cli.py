@@ -5,6 +5,7 @@ plus a one-line JSON summary on stdout."""
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import warnings
@@ -13,14 +14,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from . import (
-    errors,
-    fractal,
-    phase as phase_mod,
-    signal_core,
-    spectral,
-    wavelet,
-)
+from . import errors, signal_core  # each step imports the modules it runs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,6 +175,7 @@ def cmd_profile(params: Params, ts) -> tuple[dict, list[Artifact]]:
 
 
 def cmd_spectrum(params: Params, ts) -> tuple[dict, list[Artifact]]:
+    from . import spectral
     spec = spectral.periodogram(ts, segments=params.get("segments", 1, int),
                                 overlap_fraction=params.get("overlap", 0.0, float))
     peak = float(spec.freqs[int(np.argmax(spec.power))])
@@ -189,6 +184,7 @@ def cmd_spectrum(params: Params, ts) -> tuple[dict, list[Artifact]]:
 
 
 def _spectrum_and_band(params: Params, ts):
+    from . import spectral
     spec = spectral.periodogram(ts, segments=params.get("segments", 1, int))
     f_min, f_max = spectral.default_band(spec)
     return spec, (params.get("fmin", f_min, float),
@@ -196,6 +192,7 @@ def _spectrum_and_band(params: Params, ts):
 
 
 def cmd_powerlaw(params: Params, ts) -> tuple[dict, list[Artifact]]:
+    from . import spectral
     spec, band = _spectrum_and_band(params, ts)
     fit = spectral.fit_power_law(spec, *band)
     hurst = spectral.hurst_from_alpha(fit.alpha)
@@ -206,6 +203,7 @@ def cmd_powerlaw(params: Params, ts) -> tuple[dict, list[Artifact]]:
 
 
 def cmd_heisenberg(params: Params, ts) -> tuple[dict, list[Artifact]]:
+    from . import spectral
     spec, band = _spectrum_and_band(params, ts)
     fit = spectral.fit_heisenberg(spec, band)
     return ({"amplitude": fit.amplitude, "k_d": fit.k_d, "rss": fit.rss,
@@ -214,6 +212,7 @@ def cmd_heisenberg(params: Params, ts) -> tuple[dict, list[Artifact]]:
 
 
 def cmd_rs(params: Params, ts) -> tuple[dict, list[Artifact]]:
+    from . import fractal
     res = fractal.rescaled_range(
         ts, params.get("windows", None, _parse_int_list))
     return ({"hurst": res.hurst, "stderr": res.stderr},
@@ -221,6 +220,7 @@ def cmd_rs(params: Params, ts) -> tuple[dict, list[Artifact]]:
 
 
 def _parse_detrend(raw: str):
+    from . import fractal
     if raw.startswith("poly:"):
         return int(raw.split(":", 1)[1])
     if raw.startswith("wavelet:"):
@@ -231,6 +231,7 @@ def _parse_detrend(raw: str):
 
 
 def cmd_mfdfa(params: Params, ts) -> tuple[dict, list[Artifact]]:
+    from . import fractal
     if not params.get("no-profile", False, _parse_bool):
         ts = signal_core.profile(ts)
     detrend = params.get("detrend", 1, _parse_detrend)
@@ -244,6 +245,7 @@ def cmd_mfdfa(params: Params, ts) -> tuple[dict, list[Artifact]]:
 
 
 def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
+    from . import wavelet
     mp = wavelet.MorletParams(omega0=params.get("omega0", 6.0, float))
     grid = wavelet.ScaleGrid.default_for(
         ts.n, ts.dt,
@@ -269,6 +271,7 @@ def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
 
 
 def cmd_phase(params: Params, ts_a) -> tuple[dict, list[Artifact]]:
+    from . import phase as phase_mod, wavelet
     mp = wavelet.MorletParams(omega0=params.get("omega0", 6.0, float))
     scale = params.get("scale", "auto", lambda raw: raw if raw == "auto"
                        else _parse_scale(raw, ts_a.dt))
@@ -450,5 +453,14 @@ def main(argv=None) -> int:
     return code
 
 
+def program() -> int:
+    """``main`` on ``sys.argv`` as a program: ``python -m multiscale.cli``
+    and the installed script. What is left lives until the process ends, so
+    it is frozen out of the collector's passes over numpy's objects at exit."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(program())

@@ -127,6 +127,8 @@ def rescaled_range(ts: TimeSeries, window_sizes=None) -> RSResult:
         s = seg.std(axis=1)
         if np.any(s == 0):
             raise NumericError(f"zero std in a window of size {w}")
+        if not np.all(np.isfinite(s)):
+            raise NumericError(f"std overflows float64 in a window of size {w}")
         rs[i] = np.mean(r / s)
 
     slope, _, stderr, _ = _ols(np.log(sizes.astype(float)), np.log(rs))
@@ -224,6 +226,8 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
         f2 = var_fn(int(s))
         if np.any(f2 <= 0):
             raise NumericError(f"zero detrended variance at scale {s}")
+        if not np.all(np.isfinite(f2)):
+            raise NumericError(f"detrended variance overflows float64 at scale {s}")
         # F_q(s) = ( mean f2**(q/2) )**(1/q)
         Fq[i] = np.exp(np.log(np.mean(f2[:, None] ** (q[None, :] / 2.0), axis=0)) / q)
 

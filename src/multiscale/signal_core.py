@@ -64,8 +64,8 @@ class TimeSeries:
             raise InputError("need at least 2 samples")
         if not np.all(np.isfinite(x)):
             raise InputError("samples must all be finite")
-        if not self.dt > 0:
-            raise InvalidParameter("dt must be > 0")
+        if not 0 < self.dt < math.inf:
+            raise InvalidParameter("dt must be finite and > 0")
         x.setflags(write=False)
         object.__setattr__(self, "samples", x)
         object.__setattr__(self, "dt", float(self.dt))
@@ -134,10 +134,16 @@ def load_csv(source, dt: float | None = None) -> TimeSeries:
     t, x = data[:, 0], data[:, 1]
     if not np.all(np.isfinite(t)):
         raise InputError("time stamps must all be finite")
-    diffs = np.diff(t)
+    with np.errstate(over="ignore"):  # an infinite step fails below
+        diffs = np.diff(t)
     if np.any(diffs <= 0):
         raise InputError("time stamps must be strictly increasing")
-    dt_est = float(np.median(diffs))
+    # np.median's arithmetic, bit for bit, without the numpy.ma it imports
+    k = diffs.size // 2
+    lo, hi = np.partition(diffs, (k - 1, k))[[k - 1, k]].tolist()
+    dt_est = hi if diffs.size % 2 else (lo + hi) / 2
+    if not math.isfinite(dt_est):
+        raise InputError("the time step overflows float64")
     if np.max(np.abs(diffs - dt_est)) > 1e-6 * dt_est:
         raise InputError("time stamps are not uniformly spaced")
     return TimeSeries(x, dt=dt if dt is not None else dt_est)

@@ -120,7 +120,10 @@ def periodogram(ts: TimeSeries, segments: int = 1,
     freqs, power = _mean_psd(ts.samples, nperseg, step, hann=segments > 1,
                              fs=fs)
     df = float(freqs[1] - freqs[0])
-    return PowerSpectrum(freqs[1:], power[1:], n_source=ts.n, df=df)
+    spec = PowerSpectrum(freqs[1:], power[1:], n_source=ts.n, df=df)
+    if not np.all(np.isfinite(spec.power)):
+        raise NumericError("power overflows float64")
+    return spec
 
 
 def default_band(spec: PowerSpectrum) -> tuple[float, float]:

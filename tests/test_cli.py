@@ -21,6 +21,9 @@ from multiscale.cli import (Params, _parse_float_list, _parse_int_list,
                            _parse_scale, main)
 
 
+SRC = str(Path(ms.__file__).resolve().parents[1])
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -791,6 +794,8 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
      "Daubechies order must be in 1..10"),
     ("BadSeed", lambda: ms.gen_white_noise(8, -1), 2,
      "seed must be an integer >= 0"),
+    ("NonFiniteDt", lambda: ms.TimeSeries([1.0, 2.0], dt=np.inf), 2,
+     "dt must be finite and > 0"),
     ("TooShort", lambda: ms.load_csv("1.0"), 3, "need at least 2 rows"),
     ("ShortForDefaultWindows", lambda: ms.rescaled_range(white(300)), 3,
      "the default grid needs n >= 512 samples, got 300"),
@@ -800,6 +805,8 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
      "a line holds commas but no number"),
     ("NonUniformSampling", lambda: ms.load_csv("0,1\n1,2\n2.5,3"), 3,
      "time stamps are not uniformly spaced"),
+    ("TimeStepOverflow", lambda: ms.load_csv("-1.7e308,1\n0,2\n1.7e308,3"), 3,
+     "the time step overflows float64"),
     ("LengthMismatch", lambda: ms.phase_difference(
         ms.phase_at_scale(white(1024), 32.0),
         ms.phase_at_scale(white(512), 32.0)), 3, "phase series lengths differ"),
@@ -830,6 +837,15 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
     ("VarianceOverflow", lambda: wavelet.significance_threshold(
         overflowed_scalogram()), 4,
      "source series variance overflows float64"),
+    ("WindowStdOverflow", lambda: ms.rescaled_range(
+        ms.TimeSeries(white(512).samples * 1e160)), 4,
+     "std overflows float64 in a window of size 16"),
+    ("DetrendedVarianceOverflow", lambda: ms.mfdfa(
+        ms.TimeSeries(white(2048).samples * 1e160), None, [2.0]), 4,
+     "detrended variance overflows float64 at scale 16"),
+    ("PowerOverflow", lambda: ms.periodogram(
+        ms.TimeSeries(white(256).samples * 1e300)), 4,
+     "power overflows float64"),
 ]]
 
 
@@ -1060,3 +1076,147 @@ class TestImportCost:
              "cwt", str(src), "--format", fmt, "--out", str(tmp_path)],
             capture_output=True, text=True, timeout=120, check=True)
         assert proc.stdout.splitlines()[-1] == str(loaded)
+
+    # ``python -m multiscale.cli ARG...`` (the src directory comes first),
+    # then the names of the package's modules and numpy.ma loaded at its exit
+    PROGRAM = """
+import json, runpy, sys
+sys.path.insert(0, sys.argv.pop(1))
+try:
+    runpy.run_module("multiscale.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps([m for m in sys.modules if m.startswith(("multiscale", "numpy.ma"))]))
+"""
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        (["spectrum", "A"], ["fractal", "phase", "wavelet"]),
+        (["powerlaw", "A", "--profile"], ["fractal", "phase", "wavelet"]),
+        (["heisenberg", "A"], ["fractal", "phase", "wavelet"]),
+        (["rs", "A"], ["phase", "wavelet"]),
+        (["mfdfa", "A"], ["phase", "wavelet"]),
+        # the benchmark's pipeline: rs, profile, powerlaw
+        (["pipeline", "--config", "run.cfg"], ["phase", "wavelet"]),
+        (["cwt", "A", "--format", "json"], ["fractal", "phase", "spectral"]),
+        (["phase", "A", "B"], ["fractal", "spectral"]),
+    ])
+    def test_a_command_loads_only_its_step(self, pair, tmp_path, argv,
+                                           unloaded):
+        (tmp_path / "run.cfg").write_text(
+            f"pipeline.input = {pair[0]}\n"
+            "pipeline.analyses = rs, profile, powerlaw\n")
+        argv = [{"A": pair[0], "B": pair[1]}.get(a, a) for a in argv]
+        proc = subprocess.run([sys.executable, "-c", self.PROGRAM, SRC, *argv],
+                              cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        # every one of these commands reads a CSV
+        assert loaded & {"numpy.ma", *(f"multiscale.{m}" for m in unloaded)} \
+            == set()
+
+    def test_dwt_stays_the_function_in_every_import_order(self):
+        code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import multiscale.dwt
+import multiscale as ms
+seen = [ms.dwt]
+ms.mfdfa(ms.profile(ms.gen_fgn(4096, 0.7, 1)), None, [2.0],
+         detrend=ms.WaveletDetrend(2))
+import multiscale.fractal, multiscale.phase, multiscale.wavelet
+from multiscale import dwt
+seen += [ms.dwt, dwt]
+print([type(f).__name__ for f in seen])
+"""
+        proc = subprocess.run([sys.executable, "-c", code, SRC],
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
+        assert proc.stdout == str(["function"] * 3) + "\n"
+
+
+class TestProgram:
+    """The ``multiscale`` program, run as ``python -m multiscale.cli``."""
+
+    @staticmethod
+    def program(*argv, **kwargs):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "multiscale.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120, **kwargs)
+
+    @pytest.mark.parametrize("argv", [
+        ["rs", "A"], ["phase", "A", "B"], ["cwt", "A", "--format", "both"],
+        ["pipeline", "--config", "CFG"]])
+    def test_files_equal_an_in_process_run(self, pair, tmp_path, capsys,
+                                           argv):
+        written, printed = [], []
+        for side in ("program", "main"):
+            out = tmp_path / side
+            cfg = tmp_path / f"{side}.cfg"
+            cfg.write_text(f"pipeline.input = {pair[0]}\n"
+                           f"pipeline.analyses = rs, profile, powerlaw\n"
+                           f"out = {out}\n")
+            args = [{"A": pair[0], "B": pair[1], "CFG": str(cfg)}.get(a, a)
+                    for a in argv]
+            if argv[0] != "pipeline":
+                args += ["--out", str(out)]
+            if side == "program":
+                proc = self.program(*args)
+                code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+            else:
+                code, stdout, stderr = run(capsys, *args)
+            assert (code, stderr) == (0, "")
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+            printed.append(stdout.replace(str(out), "OUT"))
+        assert written[0] == written[1] and written[0]
+        assert printed[0] == printed[1]
+
+    @pytest.mark.parametrize("argv, want", [
+        (["rs", "A", "--windows", "16,x"], 2),
+        (["rs", "ghost.csv"], 3),
+        (["rs", "HUGE"], 4),  # squares overflow float64
+    ])
+    def test_exit_code_and_one_error_line(self, pair, tmp_path, argv, want):
+        huge = tmp_path / "huge.csv"
+        huge.write_text(ms.TimeSeries(white(2048).samples * 1e300).to_csv())
+        args = [{"A": pair[0], "HUGE": str(huge)}.get(a, a) for a in argv]
+        proc = self.program(*args, "--out", str(tmp_path / "out"), cwd=tmp_path)
+        assert proc.returncode == want
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["code"] == want
+
+    def test_csv_workers_are_gone_when_it_exits(self, pair, tmp_path):
+        # two CPUs split the CSV of n = 2048 over two processes
+        code = ("import os, runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+                "os.sched_getaffinity = lambda pid: {0, 1}; "
+                "runpy.run_module('multiscale.cli', run_name='__main__')")
+        with subprocess.Popen(
+                [sys.executable, "-c", code, SRC, "cwt", pair[0], "--format",
+                 "both", "--out", str(tmp_path)], stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
+                start_new_session=True) as proc:
+            out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert json.loads(out)["files"]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no process is left in its group
+
+    def test_only_the_program_freezes_the_collector(self, pair, tmp_path):
+        code = """
+import gc, runpy, sys
+sys.path.insert(0, sys.argv.pop(1))
+from multiscale.cli import main
+seen = [main(sys.argv[1:]), gc.get_freeze_count()]
+try:
+    runpy.run_module("multiscale.cli", run_name="__main__")
+except SystemExit as exc:
+    seen += [exc.code, gc.get_freeze_count() > 0]
+print(seen)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code, SRC, "rs", pair[0], "--out",
+             str(tmp_path)], capture_output=True, text=True, timeout=60)
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, True]", proc.stderr

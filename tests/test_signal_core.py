@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import multiscale as ms
 from multiscale import errors
@@ -66,6 +66,29 @@ class TestLoadCsv:
                            match="^the number of columns changed") as info:
             ms.load_csv("0,1\n1,2\n2,3\n4\n5,6")
         assert "usecols" not in str(info.value)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    @given(st.integers(1, 40), st.floats(1e-300, 1e300),
+           st.floats(-1e6, 1e6), st.data())
+    def test_dt_is_the_median_step_bit_for_bit(self, parity, half, dt, t0,
+                                               data):
+        # jitter under 1e-6 of a step, each stamp written with all its digits
+        rows = 2 * half + parity
+        jitter = data.draw(st.lists(st.floats(-2e-7, 2e-7), min_size=rows,
+                                    max_size=rows))
+        t = (t0 + np.arange(rows) + np.array(jitter)) * dt
+        assume(np.all(np.isfinite(t)) and np.all(np.diff(t) > 0))
+        text = "".join(f"{v!r},1\n" for v in t.tolist())
+        assert ms.load_csv(text).dt == float(np.median(np.diff(t)))
+
+    @pytest.mark.parametrize("text", ["-1.7e308,1\n0,2\n1.7e308,3",
+                                      "-1.7e308,1\n1.7e308,2"])
+    def test_time_step_that_overflows_is_refused(self, text):
+        # the first: two finite steps whose mean overflows; the second: one
+        # step that overflows
+        with pytest.raises(errors.InputError,
+                           match="the time step overflows float64"):
+            ms.load_csv(text)
 
     @pytest.mark.parametrize("text", ["", " \n\t\n", "\r\n\r\n"])
     def test_no_data_row_is_too_short_without_a_warning(self, text):
@@ -231,6 +254,12 @@ class TestSerialization:
         back = ms.load_csv(text, dt=None if two_columns else dt)
         assert back.samples.tobytes() == ts.samples.tobytes()
         assert back.dt == pytest.approx(ts.dt)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.inf, np.nan])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(errors.InvalidParameter,
+                           match="dt must be finite and > 0"):
+            ms.TimeSeries([1.0, 2.0], dt=dt)
 
     def test_samples_immutable(self):
         ts = ms.TimeSeries([1.0, 2.0, 3.0])
