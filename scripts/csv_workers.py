@@ -1,17 +1,18 @@
-"""Time the scalogram CSV with a forced number of formatting processes;
-prints one JSON object.
+"""Time writing the scalogram CSV with a forced number of formatting
+threads; prints one JSON object.
 
-    PYTHONPATH=src python3 scripts/csv_workers.py [--reps 7]
+    PYTHONPATH=src python3 scripts/csv_workers.py [--reps 9]
 
 White noise of n = 2**7 .. 2**14 samples on the default scale grid gives
 J·n from about 2**12 to 2**20 CSV lines. Each sample is one fresh process
-that builds the scalogram and then times reading every chunk of
-``wavelet.scalogram_csv_chunks`` with 1 or 2 processes, so the 2-process
-time includes importing ``multiprocessing`` and forking, as a CLI call pays
-them. The two counts alternate, ``--reps`` times each, and the median wall
-time of each is reported. It shows where the ``_CSV_SPLIT_MIN_LINES`` floor
-pays. Process counts beyond the host's CPUs
-say nothing about throughput, so only 1 and 2 are timed.
+that builds the scalogram and then times writing every chunk of
+``wavelet.scalogram_csv_chunks`` to a temporary file, as ``cli._save``
+does, with the calling thread alone (1) or two formatting threads (2), so
+that the threads' formatting overlaps the writes as in a CLI call. The two
+counts alternate, ``--reps`` times each, and the median wall time of each
+is reported. It shows where the ``_CSV_SPLIT_MIN_LINES`` floor pays.
+Thread counts beyond the host's CPUs say nothing about throughput, so only
+1 and 2 are timed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -35,11 +37,14 @@ def child(n: int, w: int) -> None:
     sg = ms.cwt_morlet(ms.gen_white_noise(n, 0))
     threshold = wavelet.significance_threshold(sg)
     # after the transform, so that only the CSV's split is forced
-    wavelet._worker_count = lambda rows, size, floor: min(w, rows)
-    start = time.perf_counter()
-    size = sum(len(chunk)
-               for chunk in wavelet.scalogram_csv_chunks(sg, threshold))
-    print(time.perf_counter() - start, size)
+    wavelet._worker_count = lambda units, size, floor: min(w, units)
+    with tempfile.TemporaryFile() as fh:
+        start = time.perf_counter()
+        for chunk in wavelet.scalogram_csv_chunks(sg, threshold):
+            fh.write(chunk)
+        wall = time.perf_counter() - start
+        size = fh.tell()
+    print(wall, size)
 
 
 def timing(reps: int) -> list[dict]:
@@ -57,19 +62,19 @@ def timing(reps: int) -> list[dict]:
                 times[w].append(float(wall))
                 sizes.add(int(size))
         if len(sizes) != 1:
-            raise SystemExit(f"n = {n}: the CSV size depends on the process count")
+            raise SystemExit(f"n = {n}: the CSV size depends on the thread count")
         t1, t2 = (statistics.median(times[w]) * 1e3 for w in (1, 2))
         j = ms.ScaleGrid.default_for(n, 1.0).J
         out.append({"n": n, "J": j, "lines": j * n, "bytes": sizes.pop(),
-                    "one_process_ms": round(t1, 2),
-                    "two_processes_ms": round(t2, 2),
+                    "one_thread_ms": round(t1, 2),
+                    "two_threads_ms": round(t2, 2),
                     "speedup": round(t1 / t2, 3)})
     return out
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--reps", type=int, default=7)
+    ap.add_argument("--reps", type=int, default=9)
     ap.add_argument("--child", type=int, nargs=2, metavar=("N", "W"))
     args = ap.parse_args()
     if args.child:

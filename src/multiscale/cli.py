@@ -325,8 +325,8 @@ def _save(path: Path, chunks: str | Iterable[str | bytes | memoryview]) -> str:
             for chunk in (chunks,) if isinstance(chunks, str) else chunks:
                 _write(fh, chunk)
         finally:
-            # a generator left early releases what it holds (the CSV worker
-            # processes) now, not when the traceback lets it go
+            # a generator left early releases what it holds (the CSV formatting
+            # threads) now, not when the traceback lets it go
             if hasattr(chunks, "close"):
                 chunks.close()
     return str(path)

@@ -228,8 +228,14 @@ def mfdfa(profile_ts: TimeSeries, scales, q_values,
             raise NumericError(f"zero detrended variance at scale {s}")
         if not np.all(np.isfinite(f2)):
             raise NumericError(f"detrended variance overflows float64 at scale {s}")
-        # F_q(s) = ( mean f2**(q/2) )**(1/q)
-        Fq[i] = np.exp(np.log(np.mean(f2[:, None] ** (q[None, :] / 2.0), axis=0)) / q)
+        # F_q(s) = ( mean f2**(q/2) )**(1/q); a power that leaves float64
+        # fails below
+        with np.errstate(over="ignore", divide="ignore"):
+            Fq[i] = np.exp(np.log(np.mean(f2[:, None] ** (q[None, :] / 2.0),
+                                          axis=0)) / q)
+        if not np.all((Fq[i] > 0) & np.isfinite(Fq[i])):
+            raise NumericError(f"a q-th power of the detrended variance "
+                               f"leaves float64 at scale {s}")
 
     logs = np.log(scales.astype(float))
     hq = np.empty(q.size)

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import struct
 import threading
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,8 +26,8 @@ PSI0_ZERO = np.pi ** (-0.25)
 # 0.5-0.9x the speed of one at 512-2048 points, 0.82x and 1.21x at 4096 and
 # 1.45-1.51x at 8192. No benchmark workload transforms fewer than 16384 points.
 _THREADED_MIN_LENGTH = 4096
-# Most threads per transform, and most processes per scalogram CSV. Each
-# thread holds its own buffers: at n = 2**16 (131072 points, 105 scales) the
+# Most threads per transform and per scalogram CSV. Each transform thread
+# holds its own buffers: at n = 2**16 (131072 points, 105 scales) the
 # transform added about 121/132/157/184/263 MB of peak RSS with 1/2/4/8/16
 # workers (same script), so large hosts, and CPU counts that ignore cgroup
 # quotas, cost at most ~25 MB over two workers. Speed-ups beyond 2 CPUs are
@@ -38,13 +38,21 @@ _MAX_WORKERS = 4
 # took 3.9/3.1/2.9 ms per row in blocks of 1/2/4; at n = 2**16 two workers
 # added 121/133/137/152 MB of peak RSS in blocks of 1/2/4/8.
 _BLOCK_ROWS = 2
-# Fewest scalogram CSV lines (scales x times) that are split over processes.
-# scripts/csv_workers.py on a 2-core host, fresh process, median of 9: two
-# processes took 1.9x as long as one at 4224 lines (8 -> 16 ms), 1.2x at
-# 25088 (19 -> 23 ms), as long at 58368 (31 ms), and 1.17x less at 133120
-# (70 -> 60 ms), 1.37x less at 299008 and 663552 (the n = 8192 CSV,
-# 353 -> 257 ms). Importing multiprocessing and forking cost about 10 ms.
-_CSV_SPLIT_MIN_LINES = 2 ** 16
+# Fewest scalogram CSV lines (scales x times) that are split over threads.
+# scripts/csv_workers.py on a 2-core host, fresh process, writing a file,
+# medians of 9 in each of two runs: two threads took 1.6-2.1x as long as one
+# at 4224 lines, 1.35-1.55x at 58368 (35 -> 48 and 55 ms) and 1.1x at 133120
+# (83 -> 94 and 86 -> 93 ms), and 1.23x less at 299008 (178 -> 144 and
+# 190 -> 154 ms) and 1.3-1.36x less at 663552 (the n = 8192 CSV, 410 -> 301
+# and 382 -> 291 ms).
+_CSV_SPLIT_MIN_LINES = 2 ** 18
+# Most lines per unit of the scalogram CSV, the part of one scale row that a
+# thread formats at once, with about 0.5 KB of temporaries per line. cwt
+# --format both on fGn, 2-core host, fresh processes: units of 2048/4096/8192
+# lines took 0.76/0.68/0.60 s at n = 8192 (medians of 8) and 5.5/3.8/2.8 s
+# at 2**16 (of 3); but 8192 lines, a whole row at n = 8192, peaked there at
+# 53.5 MB against 48.4, and whole rows at 224 MB against 166 at 2**16.
+_CSV_UNIT_LINES = 4096
 
 _MAGIC = b"MSCL1"
 _HEADER = struct.Struct("<IIdd")  # N, J, dt, omega0
@@ -175,9 +183,9 @@ def _cpu_count() -> int:
 
 
 def _worker_count(rows: int, size: int, floor: int) -> int:
-    """Workers that split ``rows`` scale rows of a job of ``size``: one per
-    available CPU, at most ``_MAX_WORKERS`` and ``rows``, and one below
-    ``floor``."""
+    """Workers that split ``rows`` scale rows (or CSV units) of a job of
+    ``size``: one per available CPU, at most ``_MAX_WORKERS`` and ``rows``,
+    and one below ``floor``."""
     if size < floor:
         return 1
     return max(1, min(_cpu_count(), _MAX_WORKERS, rows))
@@ -525,15 +533,16 @@ def _g17_cells(x: np.ndarray) -> np.ndarray:
     return cells.take(inverse, axis=0)
 
 
-def scalogram_to_csv(sg: Scalogram, threshold: np.ndarray,
-                     times: np.ndarray, j: int) -> bytes:
+def scalogram_to_csv(sg: Scalogram, threshold: np.ndarray, times: np.ndarray,
+                     j: int, cols: slice) -> bytes:
     """The long-format lines scale,time,re,im,power,significant of scale
-    row ``j``, a point flagged where its power exceeds ``threshold[j]``.
-    ``times`` holds each line's ",time" text, NUL-padded, as
-    :func:`scalogram_csv_chunks` builds it."""
-    c = sg.coeffs[j]
+    row ``j`` at the times ``cols``, a point flagged where its power exceeds
+    ``threshold[j]``. ``times`` holds each line's ",time" text, NUL-padded,
+    as :func:`scalogram_csv_chunks` builds it."""
+    c = sg.coeffs[j, cols]
     p = np.abs(c) ** 2
     scale = np.frombuffer(b"%.17g" % sg.scales[j], np.uint8)
+    times = times[cols]
     n, w = times.shape
     # one NUL-padded matrix of lines, with the values in 25-byte cells
     # ",re", ",im", ",power", then compacted
@@ -547,89 +556,71 @@ def scalogram_to_csv(sg: Scalogram, threshold: np.ndarray,
     line[:, -3] = ord(",")
     line[:, -2] = (p > threshold[j]) + np.uint8(ord("0"))
     line[:, -1] = ord("\n")
-    return line.tobytes().translate(None, b"\0")
+    return line[line != 0].tobytes()  # in numpy, which lets other threads run
 
 
 def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
-    """:func:`scalogram_to_csv` one scale row per chunk, in scale order,
-    flagged against ``threshold`` (:func:`significance_threshold`).
+    """:func:`scalogram_to_csv` in units of at most ``_CSV_UNIT_LINES`` lines
+    of one scale row, one unit per chunk, in file order, flagged against
+    ``threshold`` (:func:`significance_threshold`).
 
-    From ``_CSV_SPLIT_MIN_LINES`` lines on, w processes format the rows
-    (``_worker_count``; one where processes cannot be forked): forked worker
-    i formats rows k with k % w == i, the calling process the rows with
-    k % w == 0. A worker formats its next row only once the caller has read
-    the last one, so at most w rows are in flight and the text is never held
-    whole. A Python warning raised in a worker is raised again here, in row
-    order, as its row is yielded. A worker that fails in any way ends, and
-    raises OSError here, naming the row it owed. The workers are stopped
-    when the generator ends, fails or is closed.
+    From ``_CSV_SPLIT_MIN_LINES`` lines on, w threads format the units
+    (``_worker_count``): thread i formats units i, i + w, ... into its own
+    one-unit slot, and the calling thread only takes them from the slots in
+    file order, so each thread is at most one unit ahead of the reader and
+    the text is never held whole. Below the floor, or with one CPU, the
+    calling thread formats every unit and starts no thread. A unit that
+    raises in a thread raises OSError here, naming its row. The threads are
+    stopped and joined when the generator ends, fails or is closed.
     """
-    j = len(sg.scales)
+    rows = len(sg.scales)
     # each line's ",time", formatted once; a column NUL on every line adds
     # nothing to the text
     times = np.zeros((sg.n, 1 + _G17_WIDTH), np.uint8)
     times[:, 0] = ord(",")
     times[:, 1:] = _g17_cells(np.arange(sg.n) * sg.dt)
     times = times[:, times.any(axis=0)]
-    w = (_worker_count(j, j * sg.n, _CSV_SPLIT_MIN_LINES)
-         if hasattr(os, "fork") else 1)
-    conns, workers = [], []
-    try:
-        if w > 1:
-            import multiprocessing  # ~12 ms that only a CSV this large pays
+    units = [(j, slice(t, t + _CSV_UNIT_LINES)) for j in range(rows)
+             for t in range(0, max(sg.n, 1), _CSV_UNIT_LINES)]
+    w = _worker_count(len(units), rows * sg.n, _CSV_SPLIT_MIN_LINES)
+    if w == 1:
+        for j, cols in units:
+            yield scalogram_to_csv(sg, threshold, times, j, cols)
+        return
+    slots = [queue.Queue(1) for _ in range(w)]
+    stop = threading.Event()
 
-            # forked, the workers share the coefficients and the times
-            # copy-on-write: nothing is pickled and nothing imported again
-            fork = multiprocessing.get_context("fork")
-            for i in range(1, w):
-                conn, child_end = fork.Pipe(duplex=False)
-                conns.append(conn)
-                workers.append(fork.Process(
-                    target=_csv_worker, daemon=True,
-                    args=(sg, threshold, times, range(i, j, w), child_end)))
-                with warnings.catch_warnings():
-                    # numpy's idle OpenBLAS threads make Python 3.12+ warn
-                    # at fork; a worker calls no BLAS routine
-                    warnings.filterwarnings(
-                        "ignore", "This process .* is multi-threaded",
-                        DeprecationWarning)
-                    workers[-1].start()
-                child_end.close()  # so that a worker's death is an EOF here
-        for k in range(j):
-            if k % w == 0:
-                yield scalogram_to_csv(sg, threshold, times, k)
-                continue
+    def fill(i: int) -> None:
+        for j, cols in units[i::w]:
+            if stop.is_set():
+                return
             try:
-                text, caught = conns[k % w - 1].recv()
-            except EOFError:
-                raise OSError(f"the process formatting CSV row {k} ended") from None
-            for caught_warning in caught:
-                warnings.warn_explicit(*caught_warning)
-            yield text
-    finally:
-        for conn in conns:
-            conn.close()
-        for worker in workers:
-            if worker.pid is not None:  # started
-                worker.terminate()  # it may be formatting a row nobody reads
-                worker.join()
+                slots[i].put(scalogram_to_csv(sg, threshold, times, j, cols))
+            except Exception as exc:  # raised on the calling thread
+                slots[i].put(exc)
+                return
 
-
-def _csv_worker(sg: Scalogram, threshold: np.ndarray, times: np.ndarray,
-                rows: range, conn) -> None:
-    """Send (text, warnings) for each row of ``rows`` in turn, each warning
-    as (text, category, filename, lineno). The worker leaves Ctrl-C to its
-    parent and writes nothing to stderr: a row that raises, or a reply that
-    cannot be sent, ends it, which the parent sees as the pipe's end."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threads = []
     try:
-        for k in rows:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                text = scalogram_to_csv(sg, threshold, times, k)
-            conn.send((text, [(str(w.message), w.category, w.filename,
-                               w.lineno) for w in caught]))
-    except Exception:
-        os._exit(1)
+        for i in range(w):
+            # a daemon: a generator never closed cannot hold the interpreter
+            # open at exit
+            t = threading.Thread(target=fill, args=(i,), daemon=True)
+            t.start()
+            threads.append(t)
+        for u, (j, _) in enumerate(units):
+            chunk = slots[u % w].get()
+            if isinstance(chunk, Exception):
+                raise OSError(f"the thread formatting CSV row {j} failed: "
+                              f"{chunk!r}") from chunk
+            yield chunk
+    finally:
+        stop.set()
+        # a thread blocked on its full slot puts once more, then stops
+        for slot in slots:
+            try:
+                slot.get_nowait()
+            except queue.Empty:
+                pass
+        for t in threads:
+            t.join()

@@ -1,6 +1,5 @@
 import argparse
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -579,20 +578,20 @@ class TestWarnings:
         assert len(warned) == 3
         assert f"row on {threading.main_thread().name}" in warned
 
-    def test_warnings_of_csv_worker_processes_are_caught(self, pair, tmp_path,
-                                                         capfd, monkeypatch):
+    def test_warnings_of_csv_worker_threads_are_caught(self, pair, tmp_path,
+                                                       capfd, monkeypatch):
         to_csv = wavelet.scalogram_to_csv
         count = wavelet._worker_count
         used = []
 
-        def warning_to_csv(sg, threshold, tails, j):
+        def warning_to_csv(sg, threshold, times, j, cols):
             warnings.warn(f"row {j}")
-            return to_csv(sg, threshold, tails, j)
+            return to_csv(sg, threshold, times, j, cols)
 
-        def recorded_count(rows, size, floor):
+        def recorded_count(units, size, floor):
             if floor != wavelet._CSV_SPLIT_MIN_LINES:  # the transform's split
-                return count(rows, size, floor)
-            used.append(count(rows, size, floor))
+                return count(units, size, floor)
+            used.append(count(units, size, floor))
             return used[-1]
 
         monkeypatch.setattr(wavelet, "scalogram_to_csv", warning_to_csv)
@@ -605,14 +604,17 @@ class TestWarnings:
             out_dir = tmp_path / str(len(cpus))
             code = main(["cwt", pair[0], "--format", "csv", "--out",
                          str(out_dir)])
-            out, err = capfd.readouterr()  # the workers' stderr included
+            out, err = capfd.readouterr()
             assert code == 0
             assert err == ""
             summaries.append(json.loads(out.replace(str(out_dir), "OUT")))
         assert used == [1, 3]
-        assert summaries[0] == summaries[1]
         j = wavelet.ScaleGrid.default_for(2048, 1.0).J
-        assert summaries[1]["warnings"] == [f"row {k}" for k in range(j)]
+        # one thread warns in row order; three warn in the order they run
+        assert summaries[0]["warnings"] == [f"row {k}" for k in range(j)]
+        assert sorted(summaries[1].pop("warnings")) == sorted(
+            summaries[0].pop("warnings"))
+        assert summaries[0] == summaries[1]
 
     def test_each_pipeline_step_keeps_its_own_warnings(self, pair, tmp_path,
                                                        capsys):
@@ -629,10 +631,6 @@ class TestWarnings:
         assert heisenberg_line["warnings"]
 
 
-def worker_dies():
-    os._exit(1)
-
-
 def worker_raises():
     raise MemoryError("no room for a row")
 
@@ -641,13 +639,8 @@ def worker_raises_value_error():
     raise ValueError("a row the worker cannot format")
 
 
-def worker_gets_ctrl_c():
-    # a terminal's Ctrl-C reaches every process of the foreground group
-    os.kill(os.getpid(), signal.SIGINT)
-
-
 class TestCsvWorkerFailures:
-    """cwt with its CSV rows split over three processes stops every worker
+    """cwt with its CSV units split over three threads joins every thread
     and exits with the one error line, whatever fails."""
 
     @pytest.fixture(autouse=True)
@@ -661,38 +654,35 @@ class TestCsvWorkerFailures:
 
     @staticmethod
     def in_workers(monkeypatch, action):
-        """Run ``action`` before each row a worker process formats."""
-        parent, to_csv = os.getpid(), wavelet.scalogram_to_csv
+        """Run ``action`` before each unit a worker thread formats."""
+        to_csv = wavelet.scalogram_to_csv
 
         def formatter(*args):
-            if os.getpid() != parent:
+            if threading.current_thread() is not threading.main_thread():
                 action()
             return to_csv(*args)
 
         monkeypatch.setattr(wavelet, "scalogram_to_csv", formatter)
 
-    @pytest.mark.parametrize("fail", [worker_dies, worker_raises,
-                                      worker_raises_value_error],
-                             ids=["dies", "raises", "raises_ValueError"])
+    @pytest.mark.parametrize("fail, detail", [
+        (worker_raises, "MemoryError('no room for a row')"),
+        (worker_raises_value_error,
+         "ValueError('a row the worker cannot format')"),
+    ], ids=["raises", "raises_ValueError"])
     def test_a_failing_worker_exits_3(self, pair, tmp_path, capfd,
-                                      monkeypatch, fail):
+                                      monkeypatch, fail, detail):
         self.in_workers(monkeypatch, fail)
+        threads = threading.active_count()
         code = self.cwt(pair, tmp_path)
         out, err = capfd.readouterr()
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1
-        # row 0 is the caller's; row 1 is the first a worker owes
+        # unit 0, the first of row 0, is the first that the reader takes
         assert json.loads(err) == {
             "code": 3, "operation": "cwt",
-            "detail": "the process formatting CSV row 1 ended"}
-        assert multiprocessing.active_children() == []
-
-    def test_workers_leave_ctrl_c_to_the_parent(self, pair, tmp_path, capfd,
-                                                monkeypatch):
-        self.in_workers(monkeypatch, worker_gets_ctrl_c)
-        assert self.cwt(pair, tmp_path) == 0
-        assert capfd.readouterr().err == ""
+            "detail": f"the thread formatting CSV row 0 failed: {detail}"}
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("exc, code, detail", [
         (OSError("disk full"), 3, "disk full"),
@@ -708,13 +698,14 @@ class TestCsvWorkerFailures:
             write(fh, chunk)
 
         monkeypatch.setattr(cli, "_write", failing_after_one_row)
+        threads = threading.active_count()
         assert self.cwt(pair, tmp_path) == code
         out, err = capfd.readouterr()
         assert out == ""
         assert err.count("\n") == 1
         assert json.loads(err) == {"code": code, "operation": "cwt",
                                    "detail": detail}
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
     def test_ctrl_c_while_computing_exits_130(self, pair, tmp_path, capfd,
                                              monkeypatch):
@@ -722,6 +713,7 @@ class TestCsvWorkerFailures:
             signal.raise_signal(signal.SIGINT)
 
         monkeypatch.setattr(wavelet, "significance_threshold", interrupted)
+        threads = threading.active_count()
         # a background job inherits SIGINT as ignored: Ctrl-C must raise here
         handler = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
@@ -733,7 +725,7 @@ class TestCsvWorkerFailures:
         assert err.count("\n") == 1
         assert json.loads(err) == {"code": 130, "operation": "cwt",
                                    "detail": "interrupted"}
-        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
 
 
 # The exit code of every package error, as the command line documents it.
@@ -843,6 +835,9 @@ FAILURES = [pytest.param(fail, code, detail, id=kind)
     ("DetrendedVarianceOverflow", lambda: ms.mfdfa(
         ms.TimeSeries(white(2048).samples * 1e160), None, [2.0]), 4,
      "detrended variance overflows float64 at scale 16"),
+    ("QthPowerOverflow", lambda: ms.mfdfa(
+        ms.TimeSeries(white(2048).samples * 1e100), None, [-5.0, 2.0, 5.0]), 4,
+     "a q-th power of the detrended variance leaves float64 at scale 16"),
     ("PowerOverflow", lambda: ms.periodogram(
         ms.TimeSeries(white(256).samples * 1e300)), 4,
      "power overflows float64"),
@@ -997,13 +992,15 @@ class TestPipeline:
 class TestDeterminism:
     def test_thread_env_invariance(self, tmp_path, capsys, monkeypatch):
         """cwt and phase write the same bytes and summary with one CPU as
-        with four. phase picks its scale from a full CWT, so both split
-        scale rows over threads when more than one CPU is available; cwt
-        also splits its CSV rows (73 x 4096 lines) over processes."""
+        with three or four. phase picks its scale from a full CWT, so both
+        split scale rows over threads when more than one CPU is available;
+        cwt also splits its CSV (73 rows of 4096 lines, in units of at most
+        1000 lines) over threads."""
         run(capsys, "gen", "sines", "--f", "0.015625,0.004", "--n", "4096",
             "--out", str(tmp_path))
         src = str(tmp_path / "sines.csv")
-        # the transform's thread counts, then the CSV's process counts
+        monkeypatch.setattr(wavelet, "_CSV_UNIT_LINES", 1000)
+        # the transform's thread counts, then the CSV's
         counts = {wavelet._THREADED_MIN_LENGTH: [],
                   wavelet._CSV_SPLIT_MIN_LINES: []}
         count = wavelet._worker_count
@@ -1013,10 +1010,10 @@ class TestDeterminism:
             return counts[floor][-1]
 
         monkeypatch.setattr(wavelet, "_worker_count", recorded_count)
-        for command, csv_workers in ((["cwt", src], [1, 4]),
-                                     (["phase", src], [None, None])):
+        for command, csv_workers in ((["cwt", src], [1, 3, 4]),
+                                     (["phase", src], [None, None, None])):
             written, stdout, most = [], [], []
-            for cpus in ({0}, {0, 1, 2, 3}):
+            for cpus in ({0}, {0, 1, 2}, {0, 1, 2, 3}):
                 monkeypatch.setattr(os, "sched_getaffinity",
                                     lambda pid, cpus=cpus: cpus, raising=False)
                 for recorded_counts in counts.values():
@@ -1027,9 +1024,10 @@ class TestDeterminism:
                 written.append({p.name: p.read_bytes() for p in out.iterdir()})
                 stdout.append(printed.replace(str(out), "OUT"))
                 most.append([max(c, default=None) for c in counts.values()])
-            assert most == [[1, csv_workers[0]], [4, csv_workers[1]]]
-            assert written[0] == written[1]
-            assert stdout[0] == stdout[1]
+            assert most == [[1, csv_workers[0]], [3, csv_workers[1]],
+                            [4, csv_workers[2]]]
+            assert written[0] == written[1] == written[2]
+            assert stdout[0] == stdout[1] == stdout[2]
 
 
 class TestImportCost:
@@ -1054,19 +1052,17 @@ class TestImportCost:
         # would add ~10 ms to every CLI call
         assert self.cli_import_loads("concurrent") == "[]"
 
-    @pytest.mark.parametrize("n, fmt, loaded", [
-        (2048, "json", []),  # 65 x 2048 CSV lines, not written
-        (256, "both", []),   # 41 x 256 lines, below the split
-        (2048, "both", ["multiprocessing"]),
+    @pytest.mark.parametrize("n, fmt, cpus", [
+        (4096, "json", 2),  # 73 x 4096 CSV lines, not written
+        (256, "both", 2),   # 41 x 256 lines, below the split
+        (4096, "both", 2),  # split over two threads
+        (4096, "both", 1),  # formatted by the calling thread
     ])
-    def test_only_a_large_csv_loads_multiprocessing(self, tmp_path, n, fmt,
-                                                    loaded):
+    def test_no_cwt_run_loads_multiprocessing(self, tmp_path, n, fmt, cpus):
         src = tmp_path / "a.csv"
         src.write_text(ms.gen_fgn(n, 0.7, 1).to_csv())
-        j = wavelet.ScaleGrid.default_for(n, 1.0).J
-        assert (j * n >= wavelet._CSV_SPLIT_MIN_LINES) == (n == 2048)
         code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
-                "os.sched_getaffinity = lambda pid: {0, 1}; "
+                f"os.sched_getaffinity = lambda pid: set(range({cpus})); "
                 "from multiscale.cli import main; "
                 "assert main(sys.argv[2:]) == 0; "
                 "print(sorted({m.split('.')[0] for m in sys.modules} "
@@ -1075,7 +1071,7 @@ class TestImportCost:
             [sys.executable, "-c", code, str(Path(ms.__file__).parents[1]),
              "cwt", str(src), "--format", fmt, "--out", str(tmp_path)],
             capture_output=True, text=True, timeout=120, check=True)
-        assert proc.stdout.splitlines()[-1] == str(loaded)
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     # ``python -m multiscale.cli ARG...`` (the src directory comes first),
     # then the names of the package's modules and numpy.ma loaded at its exit
@@ -1188,19 +1184,28 @@ class TestProgram:
         assert proc.stderr.count("\n") == 1
         assert json.loads(proc.stderr)["code"] == want
 
-    def test_csv_workers_are_gone_when_it_exits(self, pair, tmp_path):
-        # two CPUs split the CSV of n = 2048 over two processes
-        code = ("import os, runpy, sys; sys.path.insert(0, sys.argv.pop(1)); "
+    def test_csv_workers_are_gone_when_it_exits(self, tmp_path):
+        # two CPUs split the CSV of n = 4096 over two threads; at exit the
+        # main thread is the only one left
+        src = tmp_path / "a.csv"
+        src.write_text(ms.gen_fgn(4096, 0.7, 1).to_csv())
+        assert (wavelet.ScaleGrid.default_for(4096, 1.0).J * 4096
+                >= wavelet._CSV_SPLIT_MIN_LINES)
+        code = ("import atexit, os, runpy, sys, threading; "
+                "sys.path.insert(0, sys.argv.pop(1)); "
                 "os.sched_getaffinity = lambda pid: {0, 1}; "
+                "atexit.register(lambda: print(threading.active_count())); "
                 "runpy.run_module('multiscale.cli', run_name='__main__')")
         with subprocess.Popen(
-                [sys.executable, "-c", code, SRC, "cwt", pair[0], "--format",
+                [sys.executable, "-c", code, SRC, "cwt", str(src), "--format",
                  "both", "--out", str(tmp_path)], stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE, text=True,
                 start_new_session=True) as proc:
             out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
-        assert json.loads(out)["files"]
+        summary, threads = out.splitlines()
+        assert json.loads(summary)["files"]
+        assert threads == "1"
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # no process is left in its group
 

@@ -708,22 +708,25 @@ class TestSerialization:
     @settings(max_examples=30, deadline=None)
     @given(case=cwt_cases(), level=st.floats(0.5, 1.0, exclude_min=True,
                                               exclude_max=True),
-           workers=st.sampled_from([1, 3]),
+           workers=st.sampled_from([1, 3, 4]),
+           unit=st.sampled_from([wavelet._CSV_UNIT_LINES, 100]),
            gain=st.sampled_from([1.0, 1e-8, 1e20]))
-    def test_csv_matches_per_line_formatting(self, case, level, workers, gain):
+    def test_csv_matches_per_line_formatting(self, case, level, workers, unit,
+                                             gain):
         ts, grid, params = case
         # scaled, most values fall outside %.17g's fixed notation, some not
         ts = ms.TimeSeries(ts.samples * gain, dt=ts.dt)
         sg = ms.cwt_morlet(ts, grid, params)
         mask = significance_mask(sg, level).mask
-        # one row per chunk, also when forked workers format all but every
-        # third row, whatever the size
+        # one unit per chunk, also when threads format the units, whatever
+        # the size, and when a unit is a part of a scale row
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(wavelet, "_worker_count",
-                       lambda j, size, floor: min(workers, j))
+                       lambda units, size, floor: min(workers, units))
+            mp.setattr(wavelet, "_CSV_UNIT_LINES", unit)
             chunks = list(scalogram_csv_chunks(
                 sg, significance_threshold(sg, level)))
-        assert len(chunks) == grid.J
+        assert len(chunks) == grid.J * -(-ts.n // unit)
         assert b"".join(chunks) == csv_per_line(sg, mask).encode()
         # the command line counts the points that the mask marks
         with tempfile.TemporaryDirectory() as tmp:
@@ -739,6 +742,43 @@ class TestSerialization:
                     "--format", "json", "--out", tmp])
         assert code == 0
         assert json.loads(out.getvalue())["n_significant"] == mask.sum()
+
+    def test_csv_threads_under_stress_and_closed_early(self, monkeypatch):
+        # 8 threads, 7-line units and a short switch interval: a unit lost,
+        # repeated or out of order breaks equality with one thread's text,
+        # and a generator closed early joins every thread
+        sg = ms.cwt_morlet(ms.gen_fgn(300, 0.8, 9), ScaleGrid(2.0, 0.25, 20))
+        threshold = significance_threshold(sg)
+        monkeypatch.setattr(wavelet, "_CSV_UNIT_LINES", 7)
+        monkeypatch.setattr(wavelet, "_worker_count",
+                            lambda units, size, floor: 1)
+        whole = b"".join(scalogram_csv_chunks(sg, threshold))
+        monkeypatch.setattr(wavelet, "_worker_count",
+                            lambda units, size, floor: 8)
+        before = threading.active_count()
+        results = []
+
+        def read():
+            for _ in range(10):
+                results.append(b"".join(scalogram_csv_chunks(sg, threshold)))
+                chunks = scalogram_csv_chunks(sg, threshold)
+                results.append(b"".join(next(chunks) for _ in range(5)))
+                chunks.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=read)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert results[0::2] == [whole] * 10
+        # five units of seven lines
+        first_units = b"".join(whole.splitlines(keepends=True)[:35])
+        assert results[1::2] == [first_units] * 10
+        assert threading.active_count() == before
 
     def test_record_without_times_has_no_lines(self):
         sg = Scalogram(np.zeros((3, 0), complex), np.array([2.0, 4.0, 8.0]),
