@@ -254,9 +254,9 @@ def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
     sg = wavelet.cwt_morlet(ts, grid=grid, params=mp)
     level = params.get("sig", 0.95, float)
     threshold = wavelet.significance_threshold(sg, level)
-    gws = wavelet.global_spectrum(sg)
-    n_significant = int(sum(np.count_nonzero(p > thr) for p, thr in
-                            zip(wavelet._row_power(sg.coeffs), threshold)))
+    means, counts = zip(*((p.mean(), np.count_nonzero(p > thr)) for p, thr in
+                          zip(wavelet._row_power(sg.coeffs), threshold)))
+    gws, n_significant = np.array(means), int(sum(counts))
     gws_json = lambda: signal_core._json(
         scales=sg.scales, periods=sg.periods(), global_spectrum=gws,
         significance_level=level, n_significant=n_significant)

@@ -29,9 +29,9 @@ _THREADED_MIN_LENGTH = 4096
 # Most threads per transform and per scalogram CSV. Each transform thread
 # holds its own buffers: at n = 2**16 (131072 points, 105 scales) the
 # transform added about 121/132/157/184/263 MB of peak RSS with 1/2/4/8/16
-# workers (same script), so large hosts, and CPU counts that ignore cgroup
-# quotas, cost at most ~25 MB over two workers. Speed-ups beyond 2 CPUs are
-# unmeasured.
+# workers (same script), and each CSV thread holds a 1.9 MB workspace, so
+# large hosts, and CPU counts that ignore cgroup quotas, cost at most ~25 MB
+# over two workers. Speed-ups beyond 2 CPUs are unmeasured.
 _MAX_WORKERS = 4
 # Scale rows per inverse FFT call: numpy transforms a call's rows together in
 # SIMD lanes, through a scratch copy. At 131072 points, in place, one thread
@@ -39,20 +39,14 @@ _MAX_WORKERS = 4
 # added 121/133/137/152 MB of peak RSS in blocks of 1/2/4/8.
 _BLOCK_ROWS = 2
 # Fewest scalogram CSV lines (scales x times) that are split over threads.
-# scripts/csv_workers.py on a 2-core host, fresh process, writing a file,
-# medians of 9 in each of two runs: two threads took 1.6-2.1x as long as one
-# at 4224 lines, 1.35-1.55x at 58368 (35 -> 48 and 55 ms) and 1.1x at 133120
-# (83 -> 94 and 86 -> 93 ms), and 1.23x less at 299008 (178 -> 144 and
-# 190 -> 154 ms) and 1.3-1.36x less at 663552 (the n = 8192 CSV, 410 -> 301
-# and 382 -> 291 ms).
+# scripts/csv_workers.py, 2-core host, 8192-line units, two runs: two threads
+# ran 0.45-0.96x as fast as one up to 133120 lines, 0.89x and 1.13x at
+# 299008, and 1.25-1.56x from 663552 (the n = 8192 CSV) on.
 _CSV_SPLIT_MIN_LINES = 2 ** 18
-# Most lines per unit of the scalogram CSV, the part of one scale row that a
-# thread formats at once, with about 0.5 KB of temporaries per line. cwt
-# --format both on fGn, 2-core host, fresh processes: units of 2048/4096/8192
-# lines took 0.76/0.68/0.60 s at n = 8192 (medians of 8) and 5.5/3.8/2.8 s
-# at 2**16 (of 3); but 8192 lines, a whole row at n = 8192, peaked there at
-# 53.5 MB against 48.4, and whole rows at 224 MB against 166 at 2**16.
-_CSV_UNIT_LINES = 4096
+# Most lines per unit of the scalogram CSV, formatted by one thread in its
+# workspace (0.23 KB per line). cwt --format both on fGn, 2 CPUs: 4096/8192
+# took 0.53/0.48 s at n = 8192 (peak 47.4/49.9 MB) and 3.6/2.9 s at 2**16.
+_CSV_UNIT_LINES = 8192
 
 _MAGIC = b"MSCL1"
 _HEADER = struct.Struct("<IIdd")  # N, J, dt, omega0
@@ -427,63 +421,87 @@ _POW10 = np.array([float(10 ** e) for e in range(21)])
 _SPLITTER = 2.0 ** 27 + 1  # Veltkamp's: splits a double into 26-bit halves
 _G17_WIDTH = 24  # the longest %.17g text: "-2.2250738585072014e-308"
 _ZERO_POINT = np.frombuffer(b"0.000", np.uint8)  # fixed notation below 1
+# Veltkamp's split of each power: _POW10 == _POW10_HI + _POW10_LO, 26 bits each
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of each double: a == hi + lo, 26 bits each."""
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
+class _Workspace:
+    """A thread's scratch memory for the CSV units it formats, of at most
+    ``values`` values (3 per line). ``ws(at, dtype, *shape)`` views it from
+    cell ``at`` on, a cell holding a byte per value; buffers whose lifetimes
+    do not overlap share cells. A unit's lines (<= 127 bytes) start at 25."""
+
+    def __init__(self, values: int):
+        self.cell = -(-values // 64) * 64
+        self.memory = np.empty(68 * self.cell, np.uint8)
+        self.iota, self.mask = np.arange(values), np.empty(2 ** 16, bool)
+
+    def __call__(self, at: int, dtype, *shape: int) -> np.ndarray:
+        return np.ndarray(shape, dtype, self.memory, at * self.cell)
 
 
-_POW10_HI, _POW10_LO = _split(_POW10)
+def _times_pow10(a: np.ndarray, e: np.ndarray, hi: np.ndarray,
+                 lo: np.ndarray, ah, al, bh, bl) -> None:
+    """Dekker's product of a and 10**e into hi, rounded, and lo, hi + lo
+    exact, through four scratch arrays; lo may share e's memory."""
+    np.multiply(a, np.take(_POW10, e, out=hi, mode="clip"), out=hi)
+    np.take(_POW10_HI, e, out=bh, mode="clip")
+    np.take(_POW10_LO, e, out=bl, mode="clip")
+    # split a, then lo = ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    t = np.multiply(_SPLITTER, a, out=ah)
+    np.subtract(t, np.subtract(t, a, out=al), out=ah)
+    np.subtract(a, ah, out=al)
+    np.subtract(np.multiply(ah, bh, out=lo), hi, out=lo)
+    lo += np.multiply(ah, bl, out=ah)
+    lo += np.multiply(al, bh, out=bh)
+    lo += np.multiply(al, bl, out=al)
 
 
-def _times_pow10(a: np.ndarray,
-                 e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's product of a and 10**e: hi rounded, hi + lo exact."""
-    hi = a * _POW10.take(e)
-    ah, al = _split(a)
-    bh, bl = _POW10_HI.take(e), _POW10_LO.take(e)
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
-
-
-def _fixed_significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_significand(a: np.ndarray,
+                       ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """For each 1e-4 <= a < 1e17: the decimal exponent k of a's %.17g text
     and the integer 1e16 <= d < 1e17 of its 17 significant digits."""
-    k = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(k, -4, 16, out=k)  # 10**(16 - k) stays in _POW10
-    hi, lo = _times_pow10(a, 16 - k)
-    # log10 can be one off next to a power of ten: a * 10**(16 - k),
-    # compared exactly, then lies outside [1e16, 1e17)
-    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    off = np.flatnonzero(low | high)
-    if off.size:
+    v = a.size
+    k, e, hi = ws(11, np.int8, v), ws(12, np.intp, v), ws(20, np.float64, v)
+    lo = ws(12, np.float64, v)  # in e's cells, written once e is read
+    log = np.floor(np.log10(a, out=hi), out=hi)
+    np.clip(log, -4, 16, out=k, casting="unsafe")  # 10**(16 - k) in _POW10
+    np.subtract(16, k, out=e)
+    _times_pow10(a, e, hi, lo, *(ws(at, float, v) for at in range(28, 60, 8)))
+    # log10 can be one off next to a power of ten: a * 10**(16 - k), then
+    # outside [1e16, 1e17) (compared exactly), and hi on or outside its ends
+    if v and (hi.min() <= 1e16 or hi.max() >= 1e17):
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        off = np.flatnonzero(low | high)
         k[off] += np.where(high[off], 1, -1)
-        hi[off], lo[off] = _times_pow10(a[off], 16 - k[off])
+        _times_pow10(a[off], 16 - k[off], *(fresh := np.empty((6, off.size))))
+        hi[off], lo[off] = fresh[:2]
     # hi >= 2**53 is an even integer and |lo| <= 8, so rint rounds the
     # sum's half-way cases to even. None rounds up to 1e17: that a would lie
     # less than 5e-18 times 10**(k + 1) below it, and no double in range does
-    return k, hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    d, r = ws(28, np.int64, v), ws(36, np.int64, v)
+    np.copyto(d, hi, "unsafe")
+    np.copyto(r, np.rint(lo, out=lo), "unsafe")
+    return k, np.add(d, r, out=d)
 
 
-def _ascii_digits(d: np.ndarray) -> np.ndarray:
+def _ascii_digits(d: np.ndarray, ws: _Workspace) -> np.ndarray:
     """The 17 digits of each 1e16 <= d < 1e17 as ASCII, one row per digit
     position, its trailing zeros NUL."""
-    digits = np.empty((17, d.size), np.uint8)
-    high = d // 10 ** 8
-    row = 0
-    for v, p in ((high.astype(np.uint32), 10 ** 8),
-                 ((d - high * 10 ** 8).astype(np.uint32), 10 ** 7)):
-        while p:
-            t = v // p
-            digits[row] = t
-            v -= t * p
-            p //= 10
-            row += 1
+    high, low = parts = ws(28, np.int64, 2, d.size)
+    np.multiply(np.floor_divide(d, 10 ** 8, out=high), 10 ** 8, out=low)
+    np.subtract(d, low, out=low)
+    np.copyto(halves := ws(44, np.uint32, 2, d.size), parts, "unsafe")
+    # both halves at once: the low one's first digit, a 0, lands in row 8
+    # before the high one's last digit does
+    digits, t = ws(10, np.uint8, 17, d.size), ws(52, np.uint32, 2, d.size)
+    for row in range(9):
+        digits[row:row + 9:8] = np.floor_divide(halves, 10 ** (8 - row), out=t)
+        halves -= np.multiply(t, 10 ** (8 - row), out=t)
     # a digit stays if it or one after it is not 0; the first is never 0
-    kept = digits != 0
+    kept = np.not_equal(digits, 0, out=ws(27, bool, 17, d.size))
     for i in range(15, 0, -1):
         kept[i] |= kept[i + 1]
     digits += ord("0")
@@ -491,72 +509,93 @@ def _ascii_digits(d: np.ndarray) -> np.ndarray:
     return digits
 
 
-def _g17_cells(x: np.ndarray) -> np.ndarray:
+def _g17_cells(x: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
     """``b"%.17g" % v`` for each float64 v of the 1-D ``x``: row i holds
     x[i]'s text in _G17_WIDTH bytes, with NUL bytes, to be dropped, where it
-    has no sign, where trailing zeros were and after its end.
+    has no sign, where trailing zeros were and after its end; a view of
+    ``ws`` (by default, one made for ``x``), which may hold ``x`` itself.
 
     Values in fixed notation, 1e-4 <= |x| < 1e17, are formatted here; %
     formats the others (0, tiny, huge, inf and nan) in bulk, and all of
     them when no value is in that range."""
-    a = np.abs(x)
-    fixed = (a >= 1e-4) & (a < 1e17)  # false on nan
-    rest = np.flatnonzero(~fixed)
-    text = (f"%-{_G17_WIDTH}.17g" * rest.size
-            % tuple(x[rest].tolist())).encode()
-    padded = np.frombuffer(text, np.uint8).reshape(rest.size, _G17_WIDTH)
-    padded = padded * (padded != ord(" "))
-    if rest.size == x.size:
-        return padded
-    covered = np.flatnonzero(fixed)
-    k, d = _fixed_significand(a[covered])
-    # by exponent, then the others: each exponent's cells are one slice
-    by_k = np.argsort(k.astype(np.int8), kind="stable")
-    k, order = k[by_k], np.concatenate((covered[by_k], rest))
-    digits = _ascii_digits(d[by_k]).T
-    cells = np.zeros((x.size, _G17_WIDTH), np.uint8)
-    cells[:k.size, 0] = (x[order[:k.size]] < 0) * np.uint8(ord("-"))
-    cells[k.size:] = padded
-    bounds = np.searchsorted(k, np.arange(-4, 18))
+    ws, v = ws or _Workspace(x.size), x.size
+    neg, fixed = np.signbit(x, out=ws(9, bool, v)), ws(10, bool, v)
+    a = np.abs(x, out=ws(1, np.float64, v))
+    np.less(a, 1e17, out=fixed)
+    fixed &= np.greater_equal(a, 1e-4, out=ws(11, bool, v))  # false on nan
+    count, rest = np.count_nonzero(fixed), np.logical_not(fixed, out=fixed)
+    if count < v:
+        text = (f"%-{_G17_WIDTH}.17g" * (v - count) % tuple(
+            np.where(neg[rest], -a[rest], a[rest]).tolist())).encode()
+        padded = np.frombuffer(text, np.uint8).reshape(v - count, _G17_WIDTH)
+        if not count:
+            return padded * (padded != ord(" "))
+        np.copyto(a, 1.0, where=rest)
+    k, d = _fixed_significand(a, ws)
+    np.copyto(k, 17, where=rest)
+    # by exponent, then the others in x's order: each exponent's cells are
+    # one slice. The key is k + 4 (21 for the others) above 32 bits of index
+    key = np.add(k, 4, out=ws(20, np.int64, v))
+    np.bitwise_or(np.left_shift(key, 32, out=key), ws.iota[:v], out=key).sort()
+    bounds = np.searchsorted(key, np.arange(22) << 32)
+    order = np.bitwise_and(key, 2 ** 32 - 1, out=ws(1, np.intp, v))
+    d = np.take(d, order, out=ws(12, np.int64, v), mode="clip")
+    digits = _ascii_digits(d, ws).T
+    (cells := ws(27, np.uint8, v, _G17_WIDTH)).fill(0)
+    np.multiply(np.take(neg, order[:count], out=ws(51, bool, count),
+                        mode="clip"), np.uint8(ord("-")), out=cells[:count, 0])
+    if count < v:
+        np.multiply(padded, padded != ord(" "), out=cells[count:])
     for e, start, stop in zip(range(-4, 17), bounds, bounds[1:]):
+        if start == stop:
+            continue
         g, cell = digits[start:stop], cells[start:stop]
         if e < 0:  # 0.ddd, 0.0ddd, ...
             cell[:, 1:2 - e] = _ZERO_POINT[:1 - e]
             cell[:, 2 - e:19 - e] = g
             continue
-        cell[:, 1:e + 2] = np.maximum(g[:, :e + 1], ord("0"))  # zeros kept
+        np.maximum(g[:, :e + 1], ord("0"), out=cell[:, 1:e + 2])  # zeros kept
         if e < 16:  # a point if a fraction digit is left
-            cell[:, e + 2] = np.minimum(g[:, e + 1], ord("."))
+            np.minimum(g[:, e + 1], ord("."), out=cell[:, e + 2])
             cell[:, e + 3:19] = g[:, e + 1:]
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    return cells.take(inverse, axis=0)
+    inverse = ws(51, np.intp, v)
+    inverse[order] = ws.iota[:v]
+    return np.take(cells, inverse, 0, ws(1, np.uint8, v, _G17_WIDTH), "clip")
 
 
 def scalogram_to_csv(sg: Scalogram, threshold: np.ndarray, times: np.ndarray,
-                     j: int, cols: slice) -> bytes:
+                     j: int, cols: slice, ws: _Workspace) -> bytes:
     """The long-format lines scale,time,re,im,power,significant of scale
     row ``j`` at the times ``cols``, a point flagged where its power exceeds
-    ``threshold[j]``. ``times`` holds each line's ",time" text, NUL-padded,
-    as :func:`scalogram_csv_chunks` builds it."""
+    ``threshold[j]``, formatted in ``ws``. ``times`` holds each line's
+    ",time" text, NUL-padded, as :func:`scalogram_csv_chunks` builds it."""
     c = sg.coeffs[j, cols]
-    p = np.abs(c) ** 2
+    x = ws(1, np.float64, c.size, 3)
+    x[:, 0], x[:, 1] = c.real, c.imag
+    p = np.square(np.abs(c, out=x[:, 2]), out=x[:, 2])
+    flag = np.greater(p, threshold[j], out=ws(0, bool, c.size))
     scale = np.frombuffer(b"%.17g" % sg.scales[j], np.uint8)
     times = times[cols]
     n, w = times.shape
     # one NUL-padded matrix of lines, with the values in 25-byte cells
     # ",re", ",im", ",power", then compacted
-    line = np.empty((n, scale.size + w + 3 * (1 + _G17_WIDTH) + 3), np.uint8)
+    line = ws(25, np.uint8, n, scale.size + w + 3 * (1 + _G17_WIDTH) + 3)
+    values = line[:, scale.size + w:-3].reshape(n, 3, 1 + _G17_WIDTH)
+    values[:, :, 1:] = _g17_cells(x.ravel(), ws).reshape(n, 3, _G17_WIDTH)
     line[:, :scale.size] = scale
     line[:, scale.size:scale.size + w] = times
-    values = line[:, scale.size + w:-3].reshape(n, 3, 1 + _G17_WIDTH)
     values[:, :, 0] = ord(",")
-    values[:, :, 1:] = _g17_cells(
-        np.column_stack((c.real, c.imag, p)).ravel()).reshape(n, 3, _G17_WIDTH)
     line[:, -3] = ord(",")
-    line[:, -2] = (p > threshold[j]) + np.uint8(ord("0"))
+    np.add(flag, np.uint8(ord("0")), out=line[:, -2])
     line[:, -1] = ord("\n")
-    return line[line != 0].tobytes()  # in numpy, which lets other threads run
+    # the text moves to the front a block at a time, in numpy (threads run)
+    flat, size = line.ravel(), 0
+    for block in np.split(flat, range(ws.mask.size, flat.size, ws.mask.size)):
+        text = block[np.not_equal(block, 0, out=ws.mask[:block.size])]
+        flat[size:size + text.size] = text
+        size += text.size
+    del text  # the unit's bytes are then its one large allocation
+    return flat[:size].tobytes()
 
 
 def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
@@ -584,21 +623,22 @@ def scalogram_csv_chunks(sg: Scalogram, threshold: np.ndarray):
              for t in range(0, max(sg.n, 1), _CSV_UNIT_LINES)]
     w = _worker_count(len(units), rows * sg.n, _CSV_SPLIT_MIN_LINES)
     if w == 1:
+        ws = _Workspace(3 * min(sg.n, _CSV_UNIT_LINES))
         for j, cols in units:
-            yield scalogram_to_csv(sg, threshold, times, j, cols)
+            yield scalogram_to_csv(sg, threshold, times, j, cols, ws)
         return
     slots = [queue.Queue(1) for _ in range(w)]
     stop = threading.Event()
 
     def fill(i: int) -> None:
-        for j, cols in units[i::w]:
-            if stop.is_set():
-                return
-            try:
-                slots[i].put(scalogram_to_csv(sg, threshold, times, j, cols))
-            except Exception as exc:  # raised on the calling thread
-                slots[i].put(exc)
-                return
+        try:
+            ws = _Workspace(3 * min(sg.n, _CSV_UNIT_LINES))
+            for j, cols in units[i::w]:
+                if stop.is_set():
+                    return
+                slots[i].put(scalogram_to_csv(sg, threshold, times, j, cols, ws))
+        except Exception as exc:  # raised on the calling thread
+            slots[i].put(exc)
 
     threads = []
     try:

@@ -584,9 +584,9 @@ class TestWarnings:
         count = wavelet._worker_count
         used = []
 
-        def warning_to_csv(sg, threshold, times, j, cols):
+        def warning_to_csv(sg, threshold, times, j, cols, ws):
             warnings.warn(f"row {j}")
-            return to_csv(sg, threshold, times, j, cols)
+            return to_csv(sg, threshold, times, j, cols, ws)
 
         def recorded_count(units, size, floor):
             if floor != wavelet._CSV_SPLIT_MIN_LINES:  # the transform's split

@@ -636,7 +636,8 @@ class TestG17Cells:
         # their lower neighbours a decade too high
         log10 = np.log10
         monkeypatch.setattr(np, "log10",
-                            lambda a: np.nextafter(log10(a), skew))
+                            lambda a, **out: np.nextafter(log10(a), skew,
+                                                          **out))
         values = [v for e in range(-3, 17) for v in neighbours(10.0 ** e, 1)]
         assert g17_texts(values) == percent_texts(values)
 
@@ -779,6 +780,50 @@ class TestSerialization:
         first_units = b"".join(whole.splitlines(keepends=True)[:35])
         assert results[1::2] == [first_units] * 10
         assert threading.active_count() == before
+
+    def test_a_warm_unit_allocates_little_but_its_text(self, monkeypatch):
+        # one thread formats every unit in one workspace, so once it is
+        # made, a unit's traced peak is its own bytes and small change
+        sg = ms.cwt_morlet(ms.gen_fgn(2 * wavelet._CSV_UNIT_LINES, 0.8, 42),
+                           ScaleGrid(2.0, 1.0, 3))
+        monkeypatch.setattr(wavelet, "_worker_count",
+                            lambda units, size, floor: 1)
+        chunks = scalogram_csv_chunks(sg, significance_threshold(sg))
+        next(chunks)
+        tracemalloc.start()
+        try:
+            for _ in range(5):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                chunk = next(chunks)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak <= len(chunk) + 64 * 1024
+                del chunk
+        finally:
+            tracemalloc.stop()
+            chunks.close()
+
+    def test_one_thread_formats_a_large_then_a_small_scalogram(self,
+                                                               monkeypatch):
+        # each call makes its own workspace and drops it when it ends: what
+        # a larger call left must neither reach a smaller one's text nor
+        # stay allocated
+        monkeypatch.setattr(wavelet, "_worker_count",
+                            lambda units, size, floor: 1)
+        for n, grid in ((3000, ScaleGrid(2.0, 0.25, 12)),
+                        (200, ScaleGrid(3.0, 0.5, 5))):
+            sg = ms.cwt_morlet(ms.gen_fgn(n, 0.8, 5), grid)
+            expected = csv_per_line(sg, significance_mask(sg).mask).encode()
+            threshold = significance_threshold(sg)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                text = b"".join(scalogram_csv_chunks(sg, threshold))
+                kept = tracemalloc.get_traced_memory()[0] - before - len(text)
+            finally:
+                tracemalloc.stop()
+            assert text == expected
+            assert kept <= 64 * 1024
 
     def test_record_without_times_has_no_lines(self):
         sg = Scalogram(np.zeros((3, 0), complex), np.array([2.0, 4.0, 8.0]),
