@@ -1,12 +1,12 @@
 """Time writing the scalogram CSV with a forced number of formatting
 threads and a forced unit size; prints one JSON object.
 
-    PYTHONPATH=src python3 scripts/csv_workers.py [--reps 9] [--units 4096 8192]
+    PYTHONPATH=src python3 scripts/csv_workers.py [--reps 9]
 
 White noise of n = 2**7 .. 2**14 samples on the default scale grid gives
 J·n from about 2**12 to 2**20 CSV lines. Each sample is one fresh process
-that builds the scalogram, sets ``wavelet._CSV_UNIT_LINES`` to the unit
-size, and then times writing every chunk of
+that builds the scalogram, sets ``wavelet._CSV_UNIT_LINES`` to one of the
+unit sizes in ``UNITS``, and then times writing every chunk of
 ``wavelet.scalogram_csv_chunks`` to a temporary file, as ``cli._save``
 does, with the calling thread alone (1) or two formatting threads (2), so
 that the threads' formatting overlaps the writes as in a CLI call. The
@@ -36,6 +36,8 @@ import numpy as np
 import multiscale as ms
 from multiscale import wavelet
 
+UNITS = (4096, 8192)  # the CSV unit sizes timed, in lines
+
 
 def child(n: int, w: int, unit: int) -> None:
     sg = ms.cwt_morlet(ms.gen_white_noise(n, 0))
@@ -55,12 +57,12 @@ def child(n: int, w: int, unit: int) -> None:
     print(wall, size, usage.ru_minflt - faults, usage.ru_maxrss)
 
 
-def timing(reps: int, units: list[int]) -> list[dict]:
+def timing(reps: int) -> list[dict]:
     out = []
     for k in range(7, 15):
         n = 1 << k
         j = ms.ScaleGrid.default_for(n, 1.0).J
-        for unit in units:
+        for unit in UNITS:
             runs = {1: [], 2: []}
             sizes = set()
             for _ in range(reps):
@@ -92,7 +94,6 @@ def timing(reps: int, units: list[int]) -> list[dict]:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--reps", type=int, default=9)
-    ap.add_argument("--units", type=int, nargs="+", default=[4096, 8192])
     ap.add_argument("--child", type=int, nargs=3, metavar=("N", "W", "UNIT"))
     args = ap.parse_args()
     if args.child:
@@ -100,11 +101,10 @@ def main() -> None:
         return
     print(json.dumps({
         "command": "PYTHONPATH=src python3 scripts/csv_workers.py "
-                   f"--reps {args.reps} --units "
-                   + " ".join(map(str, args.units)),
+                   f"--reps {args.reps}",
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__},
-        "timing": timing(args.reps, args.units),
+        "timing": timing(args.reps),
     }, indent=1))
 
 

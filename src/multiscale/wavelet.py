@@ -40,12 +40,12 @@ _MAX_WORKERS = 4
 _BLOCK_ROWS = 2
 # Fewest scalogram CSV lines (scales x times) that are split over threads.
 # scripts/csv_workers.py, 2-core host, 8192-line units, two runs: two threads
-# ran 0.45-0.96x as fast as one up to 133120 lines, 0.89x and 1.13x at
-# 299008, and 1.25-1.56x from 663552 (the n = 8192 CSV) on.
+# ran 0.36-1.01x as fast as one up to 133120 lines, 1.11x and 1.20x at
+# 299008, and 1.35-1.52x from 663552 (the n = 8192 CSV) on.
 _CSV_SPLIT_MIN_LINES = 2 ** 18
 # Most lines per unit of the scalogram CSV, formatted by one thread in its
 # workspace (0.23 KB per line). cwt --format both on fGn, 2 CPUs: 4096/8192
-# took 0.53/0.48 s at n = 8192 (peak 47.4/49.9 MB) and 3.6/2.9 s at 2**16.
+# took 0.45/0.38 s at n = 8192 (peak 47.6/49.9 MB) and 3.3/2.9 s at 2**16.
 _CSV_UNIT_LINES = 8192
 
 _MAGIC = b"MSCL1"
@@ -428,13 +428,34 @@ _POW10_LO = _POW10 - _POW10_HI
 
 class _Workspace:
     """A thread's scratch memory for the CSV units it formats, of at most
-    ``values`` values (3 per line). ``ws(at, dtype, *shape)`` views it from
-    cell ``at`` on, a cell holding a byte per value; buffers whose lifetimes
-    do not overlap share cells. A unit's lines (<= 127 bytes) start at 25."""
+    ``values`` values (3 per line); ``ws(at, dtype, *shape)`` views it from
+    cell ``at``, a byte per value. Below, each buffer's first cell, its cells
+    for v values, what it holds and, "to X", that it is dead once X is made.
+    Buffers that share a cell never live at once; LINES is made after TEXT."""
+    FLAG = 0       # 0      bool power flags, to the lines' flag column
+    VALUES = 1     # 1-8    float64 re, im, power, then |x|, to PAIR
+    ORDER = 1      # 1-8    intp order of the values by exponent, to INVERSE
+    TEXT = 1       # 1-24   _g17_cells's 24-byte cells, to LINES
+    NEG = 9        # 9      bool sign bits, to SIGNS
+    REST = 10      # 10     bool fixed notation, then not, to k's fill
+    DIGITS = 10    # 10-26  17 rows of ASCII digits, to CELLS
+    K = 11         # 11     bool |x| >= 1e-4, briefly; then int8 k, to KEY
+    E = 12         # 12-19  intp 16 - k, then float64 lo, to PAIR
+    SORTED = 12    # 12-19  int64 d by exponent, to its halves in PAIR
+    HI = 20        # 20-27  float64 log10 |x|, then hi, to PAIR
+    KEY = 20       # 20-27  int64 sort key, to ORDER
+    KEPT = 27      # 27-43  17 bool rows of kept digits, to DIGITS' mask
+    CELLS = 27     # 27-50  24-byte cells by exponent, to TEXT
+    DEKKER = 28    # 28-59  4 float64 rows, _times_pow10's scratch
+    PAIR = 28      # 28-43  int64 d and rint(lo), to SORTED; halves, to HALVES
+    HALVES = 44    # 44-59  uint32 halves (44-51), quotients (52-59), to DIGITS
+    SIGNS = 51     # 51     bool signs by exponent, to CELLS
+    INVERSE = 51   # 51-58  intp inverse of ORDER, to TEXT
+    LINES = 25     # 25-67  a unit's lines, <= 127 bytes each, to its bytes
 
     def __init__(self, values: int):
         self.cell = -(-values // 64) * 64
-        self.memory = np.empty(68 * self.cell, np.uint8)
+        self.memory = np.empty(68 * self.cell, np.uint8)  # cells 0-67
         self.iota, self.mask = np.arange(values), np.empty(2 ** 16, bool)
 
     def __call__(self, at: int, dtype, *shape: int) -> np.ndarray:
@@ -463,25 +484,24 @@ def _fixed_significand(a: np.ndarray,
     """For each 1e-4 <= a < 1e17: the decimal exponent k of a's %.17g text
     and the integer 1e16 <= d < 1e17 of its 17 significant digits."""
     v = a.size
-    k, e, hi = ws(11, np.int8, v), ws(12, np.intp, v), ws(20, np.float64, v)
-    lo = ws(12, np.float64, v)  # in e's cells, written once e is read
+    k, e = ws(ws.K, np.int8, v), ws(ws.E, np.intp, v)
+    hi, lo = ws(ws.HI, np.float64, v), ws(ws.E, np.float64, v)
     log = np.floor(np.log10(a, out=hi), out=hi)
     np.clip(log, -4, 16, out=k, casting="unsafe")  # 10**(16 - k) in _POW10
     np.subtract(16, k, out=e)
-    _times_pow10(a, e, hi, lo, *(ws(at, float, v) for at in range(28, 60, 8)))
-    # log10 can be one off next to a power of ten: a * 10**(16 - k), then
-    # outside [1e16, 1e17) (compared exactly), and hi on or outside its ends
-    if v and (hi.min() <= 1e16 or hi.max() >= 1e17):
-        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        off = np.flatnonzero(low | high)
-        k[off] += np.where(high[off], 1, -1)
-        _times_pow10(a[off], 16 - k[off], *(fresh := np.empty((6, off.size))))
-        hi[off], lo[off] = fresh[:2]
+    _times_pow10(a, e, hi, lo, *ws(ws.DEKKER, np.float64, 4, v))
+    # log10 can be one off next to a power of ten: a * 10**(16 - k),
+    # compared exactly, then lies outside [1e16, 1e17)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(low | high)
+    k[off] += np.where(high[off], 1, -1)
+    _times_pow10(a[off], 16 - k[off], *(fresh := np.empty((6, off.size))))
+    hi[off], lo[off] = fresh[:2]
     # hi >= 2**53 is an even integer and |lo| <= 8, so rint rounds the
     # sum's half-way cases to even. None rounds up to 1e17: that a would lie
     # less than 5e-18 times 10**(k + 1) below it, and no double in range does
-    d, r = ws(28, np.int64, v), ws(36, np.int64, v)
+    d, r = ws(ws.PAIR, np.int64, 2, v)
     np.copyto(d, hi, "unsafe")
     np.copyto(r, np.rint(lo, out=lo), "unsafe")
     return k, np.add(d, r, out=d)
@@ -490,18 +510,19 @@ def _fixed_significand(a: np.ndarray,
 def _ascii_digits(d: np.ndarray, ws: _Workspace) -> np.ndarray:
     """The 17 digits of each 1e16 <= d < 1e17 as ASCII, one row per digit
     position, its trailing zeros NUL."""
-    high, low = parts = ws(28, np.int64, 2, d.size)
+    high, low = parts = ws(ws.PAIR, np.int64, 2, d.size)
     np.multiply(np.floor_divide(d, 10 ** 8, out=high), 10 ** 8, out=low)
     np.subtract(d, low, out=low)
-    np.copyto(halves := ws(44, np.uint32, 2, d.size), parts, "unsafe")
+    halves, t = ws(ws.HALVES, np.uint32, 2, 2, d.size)
+    np.copyto(halves, parts, "unsafe")
     # both halves at once: the low one's first digit, a 0, lands in row 8
     # before the high one's last digit does
-    digits, t = ws(10, np.uint8, 17, d.size), ws(52, np.uint32, 2, d.size)
+    digits = ws(ws.DIGITS, np.uint8, 17, d.size)
     for row in range(9):
         digits[row:row + 9:8] = np.floor_divide(halves, 10 ** (8 - row), out=t)
         halves -= np.multiply(t, 10 ** (8 - row), out=t)
     # a digit stays if it or one after it is not 0; the first is never 0
-    kept = np.not_equal(digits, 0, out=ws(27, bool, 17, d.size))
+    kept = np.not_equal(digits, 0, out=ws(ws.KEPT, bool, 17, d.size))
     for i in range(15, 0, -1):
         kept[i] |= kept[i + 1]
     digits += ord("0")
@@ -512,17 +533,17 @@ def _ascii_digits(d: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _g17_cells(x: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
     """``b"%.17g" % v`` for each float64 v of the 1-D ``x``: row i holds
     x[i]'s text in _G17_WIDTH bytes, with NUL bytes, to be dropped, where it
-    has no sign, where trailing zeros were and after its end; a view of
-    ``ws`` (by default, one made for ``x``), which may hold ``x`` itself.
+    has no sign, where trailing zeros were and after its end; ``ws``'s TEXT
+    (by default, a workspace made for ``x``), which may hold ``x`` in VALUES.
 
     Values in fixed notation, 1e-4 <= |x| < 1e17, are formatted here; %
     formats the others (0, tiny, huge, inf and nan) in bulk, and all of
     them when no value is in that range."""
     ws, v = ws or _Workspace(x.size), x.size
-    neg, fixed = np.signbit(x, out=ws(9, bool, v)), ws(10, bool, v)
-    a = np.abs(x, out=ws(1, np.float64, v))
+    neg, fixed = np.signbit(x, out=ws(ws.NEG, bool, v)), ws(ws.REST, bool, v)
+    a = np.abs(x, out=ws(ws.VALUES, np.float64, v))
     np.less(a, 1e17, out=fixed)
-    fixed &= np.greater_equal(a, 1e-4, out=ws(11, bool, v))  # false on nan
+    fixed &= np.greater_equal(a, 1e-4, out=ws(ws.K, bool, v))  # false on nan
     count, rest = np.count_nonzero(fixed), np.logical_not(fixed, out=fixed)
     if count < v:
         text = (f"%-{_G17_WIDTH}.17g" * (v - count) % tuple(
@@ -535,14 +556,14 @@ def _g17_cells(x: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
     np.copyto(k, 17, where=rest)
     # by exponent, then the others in x's order: each exponent's cells are
     # one slice. The key is k + 4 (21 for the others) above 32 bits of index
-    key = np.add(k, 4, out=ws(20, np.int64, v))
+    key = np.add(k, 4, out=ws(ws.KEY, np.int64, v))
     np.bitwise_or(np.left_shift(key, 32, out=key), ws.iota[:v], out=key).sort()
     bounds = np.searchsorted(key, np.arange(22) << 32)
-    order = np.bitwise_and(key, 2 ** 32 - 1, out=ws(1, np.intp, v))
-    d = np.take(d, order, out=ws(12, np.int64, v), mode="clip")
+    order = np.bitwise_and(key, 2 ** 32 - 1, out=ws(ws.ORDER, np.intp, v))
+    d = np.take(d, order, out=ws(ws.SORTED, np.int64, v), mode="clip")
     digits = _ascii_digits(d, ws).T
-    (cells := ws(27, np.uint8, v, _G17_WIDTH)).fill(0)
-    np.multiply(np.take(neg, order[:count], out=ws(51, bool, count),
+    (cells := ws(ws.CELLS, np.uint8, v, _G17_WIDTH)).fill(0)
+    np.multiply(np.take(neg, order[:count], out=ws(ws.SIGNS, bool, count),
                         mode="clip"), np.uint8(ord("-")), out=cells[:count, 0])
     if count < v:
         np.multiply(padded, padded != ord(" "), out=cells[count:])
@@ -558,9 +579,10 @@ def _g17_cells(x: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
         if e < 16:  # a point if a fraction digit is left
             np.minimum(g[:, e + 1], ord("."), out=cell[:, e + 2])
             cell[:, e + 3:19] = g[:, e + 1:]
-    inverse = ws(51, np.intp, v)
+    inverse = ws(ws.INVERSE, np.intp, v)
     inverse[order] = ws.iota[:v]
-    return np.take(cells, inverse, 0, ws(1, np.uint8, v, _G17_WIDTH), "clip")
+    return np.take(cells, inverse, 0, ws(ws.TEXT, np.uint8, *cells.shape),
+                   "clip")
 
 
 def scalogram_to_csv(sg: Scalogram, threshold: np.ndarray, times: np.ndarray,
@@ -570,16 +592,16 @@ def scalogram_to_csv(sg: Scalogram, threshold: np.ndarray, times: np.ndarray,
     ``threshold[j]``, formatted in ``ws``. ``times`` holds each line's
     ",time" text, NUL-padded, as :func:`scalogram_csv_chunks` builds it."""
     c = sg.coeffs[j, cols]
-    x = ws(1, np.float64, c.size, 3)
+    x = ws(ws.VALUES, np.float64, c.size, 3)
     x[:, 0], x[:, 1] = c.real, c.imag
     p = np.square(np.abs(c, out=x[:, 2]), out=x[:, 2])
-    flag = np.greater(p, threshold[j], out=ws(0, bool, c.size))
+    flag = np.greater(p, threshold[j], out=ws(ws.FLAG, bool, c.size))
     scale = np.frombuffer(b"%.17g" % sg.scales[j], np.uint8)
     times = times[cols]
     n, w = times.shape
     # one NUL-padded matrix of lines, with the values in 25-byte cells
     # ",re", ",im", ",power", then compacted
-    line = ws(25, np.uint8, n, scale.size + w + 3 * (1 + _G17_WIDTH) + 3)
+    line = ws(ws.LINES, np.uint8, n, scale.size + w + 3 * (1 + _G17_WIDTH) + 3)
     values = line[:, scale.size + w:-3].reshape(n, 3, 1 + _G17_WIDTH)
     values[:, :, 1:] = _g17_cells(x.ravel(), ws).reshape(n, 3, _G17_WIDTH)
     line[:, :scale.size] = scale
