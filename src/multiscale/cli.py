@@ -244,6 +244,13 @@ def cmd_mfdfa(params: Params, ts) -> tuple[dict, list[Artifact]]:
             _csv_json(".mfdfa", res.to_csv, res.to_json))
 
 
+def _checked(sg, ts):
+    """``sg``, unless ``ts`` varies and its wavelet power is 0 at every scale."""
+    if np.ptp(ts.samples) and not sg.mean_power.any():
+        raise errors.NumericError("wavelet power underflows float64")
+    return sg
+
+
 def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
     from . import wavelet
     mp = wavelet.MorletParams(omega0=params.get("omega0", 6.0, float))
@@ -251,12 +258,12 @@ def cmd_cwt(params: Params, ts) -> tuple[dict, list[Artifact]]:
         ts.n, ts.dt,
         s0=params.get("s0", None, lambda raw: _parse_scale(raw, ts.dt)),
         dj=params.get("dj", 0.125, float), J=params.get("jtot", None, int))
-    sg = wavelet.cwt_morlet(ts, grid=grid, params=mp)
+    sg = _checked(wavelet.cwt_morlet(ts, grid=grid, params=mp), ts)
+    gws = wavelet.global_spectrum(sg)
     level = params.get("sig", 0.95, float)
     threshold = wavelet.significance_threshold(sg, level)
-    means, counts = zip(*((p.mean(), np.count_nonzero(p > thr)) for p, thr in
-                          zip(wavelet._row_power(sg.coeffs), threshold)))
-    gws, n_significant = np.array(means), int(sum(counts))
+    n_significant = int(sum(wavelet._row_powers(
+        sg, lambda j, p: np.count_nonzero(p > threshold[j]))))
     gws_json = lambda: signal_core._json(
         scales=sg.scales, periods=sg.periods(), global_spectrum=gws,
         significance_level=level, n_significant=n_significant)
@@ -276,7 +283,8 @@ def cmd_phase(params: Params, ts_a) -> tuple[dict, list[Artifact]]:
     scale = params.get("scale", "auto", lambda raw: raw if raw == "auto"
                        else _parse_scale(raw, ts_a.dt))
     if scale == "auto":
-        scale = wavelet.dominant_scale(wavelet.cwt_morlet(ts_a, params=mp))
+        scale = wavelet.dominant_scale(
+            _checked(wavelet.cwt_morlet(ts_a, params=mp), ts_a))
     pa = phase_mod.phase_at_scale(ts_a, scale, params=mp)
     # "files" holds its place ahead of the locking fields in the summary line
     summary = {"scale": scale, "files": None}

@@ -20,11 +20,13 @@ from .signal_core import TimeSeries
 C_DELTA = 0.776
 PSI0_ZERO = np.pi ** (-0.25)
 
-# Shortest padded transform length that is split over threads: below it
-# each row's FFT is too short to pay for handing the GIL between threads.
-# scripts/cwt_threads.py on a 2-core host, two runs: two threads ran at
-# 0.5-0.9x the speed of one at 512-2048 points, 0.82x and 1.21x at 4096 and
-# 1.45-1.51x at 8192. No benchmark workload transforms fewer than 16384 points.
+# Shortest padded length whose transform and per-row power passes are split
+# over threads: below it a row is too short to pay for handing over the GIL.
+# scripts/cwt_threads.py, 2-core host: two threads transformed at 0.5-0.9x
+# the speed of one up to 2048 points, 0.82-1.21x at 4096 and 1.36-1.51x at
+# 8192 (four runs); significance_mask ran at 0.33-0.70x up to 4096 (0.5 ms
+# lost there) and 1.08-1.18x at 8192 (two runs). No benchmark workload
+# transforms fewer than 16384 points.
 _THREADED_MIN_LENGTH = 4096
 # Most threads per transform and per scalogram CSV. Each transform thread
 # holds its own buffers: at n = 2**16 (131072 points, 105 scales) the
@@ -34,9 +36,10 @@ _THREADED_MIN_LENGTH = 4096
 # over two workers. Speed-ups beyond 2 CPUs are unmeasured.
 _MAX_WORKERS = 4
 # Scale rows per inverse FFT call: numpy transforms a call's rows together in
-# SIMD lanes, through a scratch copy. At 131072 points, in place, one thread
-# took 3.9/3.1/2.9 ms per row in blocks of 1/2/4; at n = 2**16 two workers
-# added 121/133/137/152 MB of peak RSS in blocks of 1/2/4/8.
+# SIMD lanes, through a scratch copy. Blocks of 1/2/4 took 3.9/3.1/2.9 ms per
+# row at 131072 points, and perfbench's lib_numerics op (n = 2**16, in one
+# process) ran 6-30 % slower with 1 than with 2 (6/6 pairs) for a peak RSS of
+# 173 MB against 182.
 _BLOCK_ROWS = 2
 # Fewest scalogram CSV lines (scales x times) that are split over threads.
 # scripts/csv_workers.py, 2-core host, 8192-line units, two runs: two threads
@@ -117,6 +120,8 @@ class Scalogram:
     params: MorletParams = field(default_factory=MorletParams)
     src_var: float = float("nan")
     src_lag1: float = float("nan")
+    mean_power: np.ndarray | None = field(  # cwt_morlet's; replace drops it
+        init=False, default=None, compare=False)
 
     @property
     def n(self) -> int:
@@ -189,7 +194,8 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
                params: MorletParams = MorletParams()) -> Scalogram:
     """FFT-domain continuous Morlet transform (Torrence & Compo 1998): the
     signal is zero-padded to the power of two above its length, and the
-    coefficients are truncated back to it."""
+    coefficients, read-only, are truncated back to it. Each row's mean power
+    is stored too, for global_spectrum."""
     n = ts.n
     if n < 32:
         raise InputError("need at least 32 samples")
@@ -217,39 +223,60 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     if lo[0] == hi[0]:
         raise InvalidParameter("the Morlet filter of the smallest scale is "
                                "zero at every frequency")
-    x = np.zeros(m)
-    x[:n] = ts.samples
-    spec = np.fft.fft(x)[pos].copy()  # frees the other half of the spectrum
-    del x
+    spec = np.fft.fft(ts.samples, m)[pos].copy()  # frees the other half
 
-    coeffs = np.empty((grid.J, n), dtype=np.complex128)
-    # worker k fills rows k, k+w, k+2w, ...; numpy's FFT and ufuncs release
-    # the GIL and each worker writes only its own rows, so the result does
-    # not depend on w. Worker 0 is the calling thread.
-    w = _worker_count(grid.J, m, _THREADED_MIN_LENGTH)
+    coeffs, means = np.empty((grid.J, n), np.complex128), np.empty(grid.J)
+
+    def transform(blocks) -> None:  # each worker writes only its own rows
+        z = np.empty((min(_BLOCK_ROWS, grid.J), m), np.complex128)
+        f, p = np.empty(omega.size), np.empty(n)  # filter, then power
+        for js in blocks:
+            (rows := z[:len(js)]).fill(0.0)
+            for row, j in zip(rows, js):
+                # morlet_spectrum(omega[b], s, omega0) * sqrt(2 pi s / dt) in
+                # place, in its order for its bits; omega > 0 on the band
+                s, b = scales[j], slice(lo[j], hi[j])
+                arg = np.multiply(s, omega[b], out=f[b])
+                arg -= params.omega0
+                psi = np.multiply(-0.5, arg, out=p[b])
+                np.exp(np.multiply(psi, arg, out=psi), out=psi)
+                psi *= PSI0_ZERO
+                psi *= np.sqrt(2.0 * np.pi * s / ts.dt)
+                np.multiply(spec[b], psi, out=row[1:][b])
+            np.fft.ifft(rows, axis=1, out=rows)
+            coeffs[js.start:js.stop:js.step] = rows[:, :n]
+            for row, j in zip(rows, js):  # its mean power while it is hot
+                means[j] = np.square(np.abs(row[:n], out=p), out=p).mean()
+
+    _on_workers(grid.J, m, transform, _BLOCK_ROWS)
+    coeffs.flags.writeable = False
+    # a constant series varies by its mean's round-off at most: record 0
+    var = float(ts.samples.var()) if np.ptp(ts.samples) else 0.0
+    sg = Scalogram(coeffs=coeffs, scales=scales, dj=grid.dj, dt=ts.dt,
+                   params=params, src_var=var, src_lag1=lag1_autocorr(ts.samples))
+    object.__setattr__(sg, "mean_power", means)
+    return sg
+
+
+def _on_workers(rows: int, size: int, task, block: int = 1) -> None:
+    """Run ``task(blocks)`` on w workers (``_worker_count``), the calling
+    thread as worker 0, at once where numpy releases the GIL: worker k's
+    ``blocks`` gives its rows k, k + w, ... in ranges of at most ``block``,
+    none once a worker has raised. The first exception, Ctrl-C included, is
+    raised here when every worker has ended."""
+    w = _worker_count(rows, size, _THREADED_MIN_LENGTH)
     failed: list[BaseException] = []
+    err = np.geterr()  # a new thread would start with numpy's defaults
 
-    def rows(first: int) -> None:
-        mine = range(first, grid.J, w)
-        block = np.empty((min(_BLOCK_ROWS, len(mine)), m), dtype=np.complex128)
-        for i in range(0, len(mine), _BLOCK_ROWS):
-            if failed:  # another worker has raised: stop after this block
-                return
-            js = mine[i:i + _BLOCK_ROWS]
-            z = block[:len(js)]
-            z.fill(0.0)
-            for row, j in zip(z, js):
-                s = scales[j]
-                psi_hat = np.sqrt(2.0 * np.pi * s / ts.dt) * morlet_spectrum(
-                    omega[lo[j]:hi[j]], s, params.omega0)
-                np.multiply(spec[lo[j]:hi[j]], psi_hat,
-                            out=row[1 + lo[j]:1 + hi[j]])
-            np.fft.ifft(z, axis=1, out=z)
-            coeffs[js.start:js.stop:w] = z[:, :n]
+    def blocks(k: int):
+        mine = range(k, rows, w)
+        return (mine[i:i + block] for i in range(0, len(mine), block)
+                if not failed)
 
     def worker(k: int) -> None:
         try:
-            rows(k)
+            with np.errstate(**err):
+                task(blocks(k))
         except Exception as exc:  # re-raised on the calling thread
             failed.append(exc)
 
@@ -259,7 +286,7 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
             t = threading.Thread(target=worker, args=(k,))
             t.start()
             threads.append(t)
-        rows(0)
+        task(blocks(0))
     except BaseException as exc:  # Ctrl-C included: stop the workers early
         failed.append(exc)
         raise
@@ -269,30 +296,37 @@ def cwt_morlet(ts: TimeSeries, grid: ScaleGrid | None = None,
     if failed:
         raise failed[0]
 
-    # a constant series varies by its mean's round-off at most: record 0
-    var = float(ts.samples.var()) if np.ptp(ts.samples) else 0.0
-    return Scalogram(coeffs=coeffs, scales=scales, dj=grid.dj, dt=ts.dt,
-                     params=params, src_var=var,
-                     src_lag1=lag1_autocorr(ts.samples))
 
+def _row_powers(sg: Scalogram, reduce) -> list:
+    """``reduce(j, p)`` of each scale row j on the transform's workers, p its
+    power ``np.abs(c) ** 2`` in a buffer that each worker reuses."""
+    out = [None] * len(sg.scales)
 
-def _row_power(coeffs: np.ndarray):
-    """Wavelet power one scale row at a time, so that no (J, n) power array
-    is held next to the coefficients."""
-    for c in coeffs:
-        yield np.abs(c) ** 2
+    def task(blocks) -> None:
+        p = np.empty(sg.n)
+        for (j,) in blocks:  # blocks of one row
+            out[j] = reduce(j, np.square(np.abs(sg.coeffs[j], out=p), out=p))
+
+    _on_workers(len(sg.scales), _pad_length(sg.n), task)
+    return out
 
 
 def global_spectrum(sg: Scalogram, coi_only: bool = False) -> np.ndarray:
-    """Time-mean wavelet power per scale."""
-    if not coi_only:
-        return np.array([p.mean() for p in _row_power(sg.coeffs)])
-    inside = sg.scales[:, None] <= sg.coi[None, :]
-    counts = inside.sum(axis=1)
-    if np.any(counts == 0):
+    """Time-mean wavelet power per scale (Torrence & Compo 1998, eq. 22): a
+    copy of the means cwt_morlet stored, else computed; over each scale's
+    cone-of-influence interior if ``coi_only``."""
+    if not coi_only and sg.mean_power is not None:
+        return sg.mean_power.copy()
+    # scale j's mean over the times edge[j] to n - 1 - edge[j]
+    edge = (np.searchsorted(sg.coi[:(sg.n + 1) // 2], sg.scales) if coi_only
+            else np.zeros(len(sg.scales), int))
+    if np.any(sg.n - 2 * edge <= 0):
         raise NumericError("some scales have no cone-of-influence interior")
-    return np.array([np.where(ins, p, 0.0).sum()
-                     for ins, p in zip(inside, _row_power(sg.coeffs))]) / counts
+
+    def interior_sum(j: int, p: np.ndarray) -> float:
+        p[:edge[j]] = p[sg.n - edge[j]:] = 0.0
+        return p.sum()
+    return np.array(_row_powers(sg, interior_sum)) / (sg.n - 2 * edge)
 
 
 def _band_indices(sg: Scalogram, band: tuple[float, float]) -> np.ndarray:
@@ -352,10 +386,8 @@ def significance_threshold(sg: Scalogram, level: float = 0.95) -> np.ndarray:
 
 def significance_mask(sg: Scalogram, level: float = 0.95) -> SignificanceMask:
     """Points whose power exceeds their scale's significance_threshold."""
-    mask = np.empty(sg.coeffs.shape, dtype=bool)
-    for p, thr, row in zip(_row_power(sg.coeffs),
-                           significance_threshold(sg, level), mask):
-        np.greater(p, thr, out=row)
+    mask, thr = np.empty(sg.coeffs.shape, bool), significance_threshold(sg, level)
+    _row_powers(sg, lambda j, p: np.greater(p, thr[j], out=mask[j]))
     return SignificanceMask(mask=mask)
 
 

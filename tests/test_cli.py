@@ -163,6 +163,21 @@ class TestAnalyses:
             "code": 4, "operation": "cwt",
             "detail": "source series variance overflows float64"}
 
+    @pytest.mark.parametrize("argv", [["cwt"], ["phase", "--scale", "auto"]])
+    def test_underflowed_wavelet_power_exit_4(self, tmp_path, capsys, argv):
+        # the series varies, but its wavelet power underflows to 0 at every
+        # scale: no peak scale or significant count can be read off it
+        src = tmp_path / "tiny.csv"
+        x = ms.gen_fgn(4096, 0.7, 42).samples * 1e-300
+        src.write_text(ms.TimeSeries(x).to_csv())
+        code, out, err = run(capsys, *argv[:1], str(src), *argv[1:],
+                             "--out", str(tmp_path))
+        assert code == 4
+        assert out == ""
+        assert json.loads(err) == {
+            "code": 4, "operation": argv[0],
+            "detail": "wavelet power underflows float64"}
+
     def test_mfdfa_cascade(self, tmp_path, capsys):
         run(capsys, "gen", "cascade", "--levels", "14", "--p", "0.6",
             "--out", str(tmp_path))
@@ -560,16 +575,16 @@ class TestWarnings:
 
     def test_warnings_of_cwt_worker_threads_are_caught(self, pair, tmp_path,
                                                        capsys, monkeypatch):
-        spectrum = wavelet.morlet_spectrum
+        ifft = np.fft.ifft
 
-        def warning_spectrum(omega, scale, omega0):
+        def warning_ifft(*args, **kwargs):
             warnings.warn(f"row on {threading.current_thread().name}")
-            return spectrum(omega, scale, omega0)
+            return ifft(*args, **kwargs)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
-        monkeypatch.setattr(wavelet, "morlet_spectrum", warning_spectrum)
+        monkeypatch.setattr(np.fft, "ifft", warning_ifft)
         code, out, err = run(capsys, "cwt", pair[0], "--format", "json",
                              "--out", str(tmp_path))
         assert code == 0

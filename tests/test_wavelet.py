@@ -6,6 +6,9 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,21 +220,24 @@ class TestCwtBasics:
         # s from 2 dt to n dt / 4; the bins the transform leaves out of the
         # filter must be those where the full-width filter is exactly 0.0
         s = min(2.0 * dt * (n / 8.0) ** frac, n * dt / 4.0)
-        band = []
+        m = _pad_length(n)
+        omega = 2.0 * np.pi * np.fft.fftfreq(m, dt)[1:(m + 1) // 2]
+        # the transform's two searchsorted calls give the band's first and
+        # past-the-end bins of omega
+        bounds, searchsorted = [], np.searchsorted
 
-        def spy(omega, scale, omega0):
-            band.extend(omega)
-            return morlet_spectrum(omega, scale, omega0)
+        def spy(*args, **kwargs):
+            bounds.append(searchsorted(*args, **kwargs))
+            return bounds[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wavelet, "morlet_spectrum", spy)
+            mp.setattr(np, "searchsorted", spy)
             try:
                 ms.cwt_morlet(ms.TimeSeries(np.ones(n), dt=dt),
                               ScaleGrid(s, 0.125, 1), MorletParams(omega0))
             except errors.InvalidParameter:  # refused: no bin is in the band
-                assert not band
-        m = _pad_length(n)
-        omega = 2.0 * np.pi * np.fft.fftfreq(m, dt)[1:(m + 1) // 2]
+                assert bounds[0][0] == bounds[1][0]
+        band = omega[bounds[0][0]:bounds[1][0]]
         outside = omega[~np.isin(omega, band)]
         assert np.all(morlet_spectrum(outside, s, omega0) == 0.0)
 
@@ -328,8 +334,9 @@ class TestCwtThreads:
     def test_peak_memory_is_coefficients_and_one_block(self, monkeypatch):
         # the block of two rows is transformed in place: beside the
         # coefficients, one worker holds 32 bytes per padded point for it,
-        # plus the half spectrum, its frequencies and one row's narrow
-        # filter band; an ifft result next to its input would add 32 more
+        # plus the half spectrum, its frequencies, a filter buffer as long
+        # and a power buffer of n points (52 in all); an ifft result next
+        # to its input would add 32 more
         ts = ms.gen_white_noise(4096, 0)
         grid = ScaleGrid(64.0, 0.25, 12)
         m = _pad_length(ts.n)
@@ -363,16 +370,19 @@ class TestCwtThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
+            # the row passes run on as many workers
             runner = threading.Thread(target=lambda: results.extend(
-                ms.cwt_morlet(ts, grid).coeffs for _ in range(20)))
+                (sg, row_passes(sg, 0.95))
+                for sg in (ms.cwt_morlet(ts, grid) for _ in range(20))))
             runner.start()
             runner.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
         assert len(results) == 20
-        for got in results:
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        for sg, passes in results:
+            assert np.array_equal(sg.coeffs.view(np.uint64), ref.view(np.uint64))
+            assert_same_bits(passes, one_thread_passes(sg, 0.95))
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         def failing_ifft(*args, **kwargs):
@@ -435,6 +445,226 @@ class TestCwtThreads:
         monkeypatch.setattr(threading, "Thread", SecondFails)
         with pytest.raises(RuntimeError, match="can't start"):
             ms.cwt_morlet(ms.gen_white_noise(4096, 0), ScaleGrid(2.0, 0.5, 6))
+        assert len(started) == 1 and not started[0].is_alive()
+
+
+def one_thread_passes(sg, level):
+    """The per-row passes as one thread computes them from
+    ``np.abs(c) ** 2``: the global spectrum, its cone-of-influence form,
+    the significance mask and the dominant scale (or the error each
+    raises)."""
+    power = [np.abs(c) ** 2 for c in sg.coeffs]
+    inside = sg.scales[:, None] <= sg.coi[None, :]
+    coi = np.array([np.where(ins, p, 0.0).sum()
+                    for ins, p in zip(inside, power)]) / inside.sum(axis=1)
+    mid = coi[1:-1]
+    peak = (mid > coi[:-2]) & (mid >= coi[2:])
+    dominant = (float(sg.scales[1 + np.argmax(np.where(peak, mid, -np.inf))])
+                if peak.any() else "no global-spectrum peak to select a scale")
+    mask = np.array([p > t for p, t in
+                     zip(power, significance_threshold(sg, level))])
+    return np.array([p.mean() for p in power]), coi, mask, dominant
+
+
+def row_passes(sg, level):
+    """What the library returns for ``one_thread_passes``."""
+    try:
+        dominant = wavelet.dominant_scale(sg)
+    except errors.NumericError as exc:
+        dominant = str(exc)
+    return (ms.global_spectrum(sg), ms.global_spectrum(sg, coi_only=True),
+            significance_mask(sg, level).mask, dominant)
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        else:
+            assert g == w
+
+
+@contextlib.contextmanager
+def workers(w):
+    """Every transform and row pass on ``w`` workers, whatever its length."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavelet, "_cpu_count", lambda: w)
+        mp.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        yield
+
+
+class TestRowPasses:
+    @settings(max_examples=60, deadline=None)
+    @given(case=cwt_cases(), w=st.integers(1, 4), level=st.floats(0.51, 0.99))
+    def test_passes_match_one_thread_reference(self, case, w, level):
+        ts, grid, params = case
+        with workers(w):
+            sg = ms.cwt_morlet(ts, grid, params)
+            # a scalogram not made by cwt_morlet carries no stored spectrum
+            hand_made = replace(sg, coeffs=sg.coeffs)
+            got, got_hand_made = (row_passes(s, level) for s in (sg, hand_made))
+        want = one_thread_passes(sg, level)
+        assert_same_bits(got, want)
+        assert_same_bits(got_hand_made, want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(32, 3000), seed=st.integers(0, 2 ** 16),
+           factor=st.sampled_from([1.0, 1e-155, 1e150]),
+           w=st.integers(2, 4), dj=st.sampled_from(["0.125", "0.5"]))
+    def test_cwt_summary_matches_one_thread_reference(self, n, seed, factor,
+                                                      w, dj):
+        x = ms.gen_fgn(n, 0.7, seed).samples * factor
+        with tempfile.TemporaryDirectory() as tmp:
+            src = os.path.join(tmp, "x.csv")
+            with open(src, "w") as fh:
+                fh.write(ms.TimeSeries(x).to_csv())
+            results = []
+            for workers_used in (1, w):
+                out = os.path.join(tmp, str(workers_used))
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with workers(workers_used), contextlib.redirect_stdout(
+                        stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(["cwt", src, "--dj", dj, "--format",
+                                     "json", "--out", out])
+                files = [] if code else [
+                    Path(out, name).read_bytes()
+                    for name in ("x.cwt.mscl", "x.cwt.json")]
+                summary = stdout.getvalue().replace(out, "OUT")
+                results.append((code, summary, stderr.getvalue(), files))
+            assert results[0] == results[1]
+        code, summary = results[0][:2]
+        if code:
+            return
+        summary = json.loads(summary)
+        sg = ms.cwt_morlet(ms.TimeSeries(x), ScaleGrid.default_for(
+            n, 1.0, dj=float(dj)))
+        gws, _, mask, _ = one_thread_passes(sg, 0.95)
+        assert summary["peak_scale"] == sg.scales[np.argmax(gws)]
+        assert summary["n_significant"] == np.count_nonzero(mask)
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_workers_keep_the_callers_floating_point_handling(self, w):
+        sg = ms.cwt_morlet(ms.gen_fgn(512, 0.7, 1))
+        huge = replace(sg, coeffs=sg.coeffs * 1e160)  # its power overflows
+        with workers(w), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert np.isinf(ms.global_spectrum(huge)).all()
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                significance_mask(huge)
+
+    def test_replace_carries_no_stored_spectrum(self):
+        sg = ms.cwt_morlet(ms.gen_fgn(512, 0.7, 1))
+        assert sg.mean_power is not None
+        doubled = replace(sg, coeffs=2.0 * sg.coeffs)
+        assert doubled.mean_power is None
+        want = np.array([(np.abs(c) ** 2).mean() for c in doubled.coeffs])
+        assert ms.global_spectrum(doubled).tobytes() == want.tobytes()
+
+    def test_global_spectrum_is_a_copy(self):
+        sg = ms.cwt_morlet(ms.gen_fgn(512, 0.7, 1))
+        ms.global_spectrum(sg)[:] = 0.0
+        assert ms.global_spectrum(sg).all()
+
+    def test_coefficients_are_read_only(self):
+        sg = ms.cwt_morlet(ms.gen_fgn(512, 0.7, 1))
+        assert not sg.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sg.coeffs[0, 0] = 0.0
+
+
+def significant_count(sg):
+    """cmd_cwt's count of significant points."""
+    thr = significance_threshold(sg)
+    return sum(wavelet._row_powers(
+        sg, lambda j, p: np.count_nonzero(p > thr[j])))
+
+
+# each per-row power pass, and how to make the scalogram it runs on before
+# the pass's np.square is patched: a replaced one has no stored spectrum
+ROW_PASSES = [
+    pytest.param(lambda ts, grid: replace(ms.cwt_morlet(ts, grid)),
+                 ms.global_spectrum, id="global_spectrum_on_demand"),
+    # its cone-of-influence global spectrum
+    pytest.param(ms.cwt_morlet, wavelet.dominant_scale, id="dominant_scale"),
+    pytest.param(ms.cwt_morlet, significance_mask, id="significance_mask"),
+    pytest.param(ms.cwt_morlet, significant_count, id="cwt_count"),
+]
+
+
+@pytest.mark.parametrize("make, row_pass", ROW_PASSES)
+class TestRowPassThreads:
+    """TestCwtThreads's failure cases, for the passes on the transform's
+    workers: the square of a row's power fails instead of its ifft."""
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, make,
+                                             row_pass):
+        def failing_square(*args, **kwargs):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        sg = make(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.5, 6))
+        monkeypatch.setattr(np, "square", failing_square)
+        with pytest.raises(MemoryError):
+            row_pass(sg)
+
+    def test_error_on_another_worker_reaches_the_caller(self, monkeypatch,
+                                                        make, row_pass):
+        square = np.square
+        main = threading.main_thread()
+
+        def failing_off_main(*args, **kwargs):
+            if threading.current_thread() is not main:
+                raise MemoryError("no room")
+            return square(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        sg = make(ms.gen_white_noise(256, 0), ScaleGrid(2.0, 0.5, 6))
+        monkeypatch.setattr(np, "square", failing_off_main)
+        with pytest.raises(MemoryError):
+            row_pass(sg)
+
+    def test_interrupt_on_caller_joins_and_stops_workers(self, monkeypatch,
+                                                         make, row_pass):
+        square = np.square
+        main = threading.main_thread()
+        rows_off_main = []
+
+        def interrupted_on_main(*args, **kwargs):
+            if threading.current_thread() is main:
+                raise KeyboardInterrupt
+            rows_off_main.append(1)
+            return square(*args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(wavelet, "_THREADED_MIN_LENGTH", 0)
+        sg = make(ms.gen_white_noise(4096, 0), ScaleGrid(2.0, 0.125, 60))
+        monkeypatch.setattr(np, "square", interrupted_on_main)
+        with pytest.raises(KeyboardInterrupt):
+            row_pass(sg)
+        assert threading.active_count() == before
+        assert sum(rows_off_main) < 40  # two workers' share of 60 rows
+
+    def test_failed_thread_start_joins_the_started_ones(self, monkeypatch,
+                                                        make, row_pass):
+        started = []
+
+        class SecondFails(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        sg = make(ms.gen_white_noise(4096, 0), ScaleGrid(2.0, 0.5, 6))
+        monkeypatch.setattr(threading, "Thread", SecondFails)
+        with pytest.raises(RuntimeError, match="can't start"):
+            row_pass(sg)
         assert len(started) == 1 and not started[0].is_alive()
 
 
