@@ -971,6 +971,9 @@ class TestSerialization:
                     "--dj", repr(grid.dj), "--jtot", str(grid.J),
                     "--omega0", repr(params.omega0), "--sig", repr(level),
                     "--format", "json", "--out", tmp])
+        if np.ptp(ts.samples) and not ms.global_spectrum(sg).any():
+            assert code == 4  # the power underflows to 0 at every scale
+            return
         assert code == 0
         assert json.loads(out.getvalue())["n_significant"] == mask.sum()
 
